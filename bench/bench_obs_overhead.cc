@@ -96,7 +96,7 @@ int CheckExports(const std::string& prom, const std::string& json) {
       "m2g_threadpool_queue_depth",
       "m2g_threadpool_tasks_executed_total",
       "m2g_serve_batch_queue_wait_ms_bucket",
-      "m2g_serve_batch_execute_ms_bucket",
+      "m2g_serve_batch_size_bucket",
       "m2g_obs_wide_events_recorded_total",
   };
   const char* json_needles[] = {
@@ -196,10 +196,10 @@ int main(int argc, char** argv) {
   std::printf("  overhead: %.2f%% (%.1f us/request)\n",
               100.0 * ab.overhead(), per_req_us);
 
-  // Batched serving phase: populates the PR-8 surfaces the unbatched A/B
-  // cannot reach — the queue-wait and batch-execute histograms, trace
-  // trees whose members reference shared graph/encode spans, and wide
-  // events carrying batch attribution. Untimed: the A/B above already
+  // Batched serving phase: populates the surfaces the unbatched A/B
+  // cannot reach — the queue-wait and batch-size histograms, trace
+  // trees carrying each member's queue wait, and wide events carrying
+  // batch attribution. Untimed: the A/B above already
   // gates the instrumentation tax; this phase only feeds the exports.
   size_t batched_requests = 0;
   {

@@ -261,18 +261,17 @@ void TraceSpan::Start(const char* stage, Histogram* hist) {
 void TraceSpan::Finish() {
   const auto end = std::chrono::steady_clock::now();
   active_ = false;
-  duration_ms_ =
+  const double duration_ms =
       std::chrono::duration<double, std::milli>(end - start_).count();
   TraceEvent event;
   event.stage = stage_;
   event.start_ms = MsSinceProcessStart(start_);
-  event.duration_ms = duration_ms_;
+  event.duration_ms = duration_ms;
   event.thread_slot = internal::ThreadSlot();
   event.trace_id = trace_id_;
   event.span_id = span_id_;
   event.parent_span_id = parent_span_id_;
-  event.batch_size = batch_size_;
-  if (hist_ != nullptr) hist_->Record(duration_ms_);
+  if (hist_ != nullptr) hist_->Record(duration_ms);
   if (trace_id_ != 0) {
     // Properly nested scope: restore the parent as the thread's innermost
     // open span before handing the event to the trace table.
@@ -306,32 +305,6 @@ void RecordExternalSpan(const TraceContext& ctx, const char* stage,
   (void)start_ms;
   (void)duration_ms;
   (void)hist;
-  (void)batch_size;
-#endif
-}
-
-void RecordSharedSpanRef(const TraceContext& ctx, const char* stage,
-                         uint64_t ref_span_id, double start_ms,
-                         double duration_ms, int batch_size) {
-#ifndef M2G_OBS_DISABLED
-  if (!Enabled() || !ctx.active()) return;
-  TraceEvent event;
-  event.stage = stage;
-  event.start_ms = start_ms;
-  event.duration_ms = duration_ms;
-  event.thread_slot = internal::ThreadSlot();
-  event.trace_id = ctx.trace_id;
-  event.span_id = NextTraceId();
-  event.parent_span_id = ctx.span_id;
-  event.ref_span_id = ref_span_id;
-  event.batch_size = batch_size;
-  Active().Append(ctx.trace_id, event);
-#else
-  (void)ctx;
-  (void)stage;
-  (void)ref_span_id;
-  (void)start_ms;
-  (void)duration_ms;
   (void)batch_size;
 #endif
 }
@@ -372,41 +345,6 @@ RequestTrace::~RequestTrace() {
   }
   Trees().Push(std::move(tree));
   WideEventSink::Global().Record(event_);
-#endif
-}
-
-BatchTrace::BatchTrace(int batch_size) {
-#ifndef M2G_OBS_DISABLED
-  if (!Enabled()) return;
-  // Unlike RequestTrace, an active context does NOT make the batch trace
-  // inert: the leader executing a batch is itself a traced member, and
-  // the shared graph/encode spans belong to the batch tree, not to the
-  // leader's own request tree (which receives references like every
-  // other member). Suspend the leader's context and restore it after.
-  active_ = true;
-  ctx_.trace_id = NextTraceId();
-  ctx_.span_id = 0;
-  prev_ = CurrentTraceContext();
-  SetCurrentContext(ctx_);
-  Active().Begin(ctx_.trace_id);
-  static Histogram& hist = StageHistogram("serve.batch.execute.ms");
-  root_ = new TraceSpan("serve.batch.execute.ms", &hist);
-  root_->set_batch_size(batch_size);
-#else
-  (void)batch_size;
-#endif
-}
-
-BatchTrace::~BatchTrace() {
-#ifndef M2G_OBS_DISABLED
-  if (!active_) return;
-  delete root_;  // closes the root span into the trace table
-  SetCurrentContext(prev_);
-  TraceTree tree;
-  tree.trace_id = ctx_.trace_id;
-  tree.tag = "batch";
-  tree.spans = Active().Take(ctx_.trace_id);
-  Trees().Push(std::move(tree));
 #endif
 }
 

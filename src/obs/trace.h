@@ -29,13 +29,8 @@ struct TraceEvent {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   uint64_t parent_span_id = 0;
-  /// When nonzero this event is a *reference* to a batch-amortized span
-  /// owned by the batch trace (graph build / encode executed once for the
-  /// whole micro-batch): `ref_span_id` names the shared span and
-  /// `duration_ms` carries the shared duration so a member tree is
-  /// self-contained for per-stage accounting.
-  uint64_t ref_span_id = 0;
-  /// Micro-batch size the span's work covered (1 for per-request work).
+  /// Size of the micro-batch a queue-wait span was dispatched in (1 for
+  /// every other span).
   int batch_size = 1;
 };
 
@@ -101,37 +96,6 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Ends the span now instead of at scope exit and returns its duration
-  /// in ms (0 if the span never started). Lets batch code close a shared
-  /// stage span and fan its id + duration out to member traces.
-  double Stop() {
-#ifndef M2G_OBS_DISABLED
-    if (active_) {
-      Finish();
-      return duration_ms_;
-    }
-#endif
-    return 0;
-  }
-
-  /// This span's id within its trace (0 when flat or not started).
-  uint64_t span_id() const {
-#ifndef M2G_OBS_DISABLED
-    return span_id_;
-#else
-    return 0;
-#endif
-  }
-
-  /// Tags the recorded event with the micro-batch size its work covered.
-  void set_batch_size(int batch_size) {
-#ifndef M2G_OBS_DISABLED
-    batch_size_ = batch_size;
-#else
-    (void)batch_size;
-#endif
-  }
-
  private:
   void Start(const char* stage, Histogram* hist);
   void Finish();
@@ -139,11 +103,9 @@ class TraceSpan {
   const char* stage_ = nullptr;
   Histogram* hist_ = nullptr;
   bool active_ = false;
-  int batch_size_ = 1;
   uint64_t trace_id_ = 0;
   uint64_t span_id_ = 0;
   uint64_t parent_span_id_ = 0;
-  double duration_ms_ = 0;
   std::chrono::steady_clock::time_point start_{};
 };
 
@@ -155,15 +117,6 @@ class TraceSpan {
 void RecordExternalSpan(const TraceContext& ctx, const char* stage,
                         double start_ms, double duration_ms,
                         Histogram* hist = nullptr, int batch_size = 1);
-
-/// Records a *reference* to a batch-amortized span into `ctx`'s trace:
-/// the member tree gains a child of ctx.span_id named `stage` whose
-/// duration is the shared span's duration and whose ref_span_id points at
-/// the shared span in the batch trace. Does NOT feed the stage histogram
-/// (the shared span already did, once). No-op when disabled or inactive.
-void RecordSharedSpanRef(const TraceContext& ctx, const char* stage,
-                         uint64_t ref_span_id, double start_ms,
-                         double duration_ms, int batch_size);
 
 /// RAII owner of one request-scoped trace. When obs is enabled and no
 /// trace is already active on this thread, the constructor allocates a
@@ -203,32 +156,6 @@ class RequestTrace {
   TraceContext prev_;
   WideEvent event_;
   std::chrono::steady_clock::time_point start_{};
-};
-
-/// RAII owner of the batch-leader trace wrapping one micro-batch
-/// execution: opens a root span `serve.batch.execute.ms` tagged with the
-/// batch size, so the batch-amortized graph/encode spans recorded inside
-/// PredictBatch form a small tree of their own ("batch" tag in the tree
-/// ring) that member traces reference by span id. The leader thread is
-/// usually mid-request itself; the batch trace *suspends* that context
-/// (instead of going inert) and restores it on destruction, so the
-/// leader's own request tree receives shared-span references like every
-/// other member rather than absorbing the shared spans directly.
-class BatchTrace {
- public:
-  explicit BatchTrace(int batch_size);
-  ~BatchTrace();
-
-  BatchTrace(const BatchTrace&) = delete;
-  BatchTrace& operator=(const BatchTrace&) = delete;
-
-  bool active() const { return active_; }
-
- private:
-  bool active_ = false;
-  TraceContext ctx_;
-  TraceContext prev_;
-  TraceSpan* root_ = nullptr;
 };
 
 /// The registry latency histogram spans for `stage` record into; call

@@ -13,9 +13,8 @@ namespace m2g::obs {
 /// existed (the training spans stay flat on purpose).
 ///
 /// The context is plain data so it can be captured on one thread (the
-/// submitter parking in the batch queue) and replayed on another (the
-/// batch leader attributing per-sample decode work back to the member
-/// request that owns it).
+/// submitter parking in the batch queue) and used on another (the batch
+/// leader attributing that member's queue wait back to its request).
 struct TraceContext {
   uint64_t trace_id = 0;
   /// Innermost open span; 0 at the root, so the first span opened under a
@@ -38,8 +37,8 @@ void ResetTraceIds(uint64_t next = 1);
 TraceContext CurrentTraceContext();
 
 /// RAII: installs `ctx` as this thread's current context and restores the
-/// previous one on destruction. Used by the batch leader to switch into a
-/// member's trace around that member's decode/ETA tail.
+/// previous one on destruction, so work done on one thread can attribute
+/// its spans to a context captured on another.
 class TraceContextScope {
  public:
   explicit TraceContextScope(const TraceContext& ctx);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -35,20 +34,30 @@ obs::Histogram& QueueWaitHistogram() {
 BatchScheduler::BatchScheduler(const ModelRegistry* registry,
                                const core::M2g4Rtp* fallback_model,
                                const BatchConfig& config)
-    : registry_(registry), fallback_model_(fallback_model), config_(config) {
-  M2G_CHECK(registry_ != nullptr || fallback_model_ != nullptr);
+    : registry_(registry), config_(config) {
+  M2G_CHECK(registry_ != nullptr || fallback_model != nullptr);
   M2G_CHECK_GE(config_.max_batch_size, 1);
   M2G_CHECK_GE(config_.max_linger_us, 0);
   M2G_CHECK_GE(config_.max_queue_depth, 1);
+  if (registry_ == nullptr) {
+    // A fixed model is served as a version-0 snapshot that does not own
+    // it, so both modes pin and run the same way.
+    fixed_ = std::make_shared<const ModelSnapshot>(ModelSnapshot{
+        std::shared_ptr<const core::M2g4Rtp>(fallback_model,
+                                             [](const core::M2g4Rtp*) {}),
+        0});
+  }
 }
 
-BatchResult BatchScheduler::Submit(synth::Sample sample) {
+std::shared_ptr<const ModelSnapshot> BatchScheduler::Pin() const {
+  return registry_ != nullptr ? registry_->Current() : fixed_;
+}
+
+BatchResult BatchScheduler::Submit(const synth::Sample& sample) {
   Slot slot;
-  slot.sample = std::move(sample);
   // Captured before queueing: the innermost open span here is the
-  // request's root span, so everything the leader records under this
-  // context (queue wait, shared stages, this member's decode) becomes a
-  // direct child of it.
+  // request's root span, so the queue-wait span the leader records under
+  // this context becomes a direct child of it.
   slot.ctx = obs::CurrentTraceContext();
   slot.submit_ms = obs::UptimeMs();
 
@@ -57,7 +66,8 @@ BatchResult BatchScheduler::Submit(synth::Sample sample) {
     lock.unlock();
     sheds_.fetch_add(1, std::memory_order_relaxed);
     ShedCounter().Increment();
-    BatchResult result = ExecuteSingle(std::move(slot.sample));
+    slot.snapshot = Pin();
+    BatchResult result = Run(sample, slot);
     result.shed = true;
     return result;
   }
@@ -66,130 +76,71 @@ BatchResult BatchScheduler::Submit(synth::Sample sample) {
   // early. Waking sleeping followers here would just burn context
   // switches on a busy box.
   if (leader_lingering_) cv_.notify_all();
-  while (true) {
-    if (slot.done) return std::move(slot.result);
-    if (!leader_active_ && !slot.taken) {
-      leader_active_ = true;
-      LeadLoop(lock, &slot);
-      M2G_CHECK(slot.done);
-      return std::move(slot.result);
+  while (!slot.dispatched) {
+    if (leader_active_) {
+      cv_.wait(lock);
+    } else {
+      Lead(lock);
     }
-    cv_.wait(lock);
   }
+  lock.unlock();
+  return Run(sample, slot);
 }
 
-void BatchScheduler::LeadLoop(std::unique_lock<std::mutex>& lock,
-                              Slot* mine) {
+void BatchScheduler::Lead(std::unique_lock<std::mutex>& lock) {
   static obs::Histogram& linger_hist =
       obs::StageHistogram("serve.batch.linger.ms");
-  while (!mine->done) {
-    {
-      // Linger for stragglers; a full queue dispatches immediately.
-      obs::TraceSpan span("serve.batch.linger.ms", &linger_hist);
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(config_.max_linger_us);
-      leader_lingering_ = true;
-      while (static_cast<int>(queue_.size()) < config_.max_batch_size &&
-             cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
-      }
-      leader_lingering_ = false;
+  leader_active_ = true;
+  {
+    // Linger for stragglers; a full queue dispatches immediately.
+    obs::TraceSpan span("serve.batch.linger.ms", &linger_hist);
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(config_.max_linger_us);
+    leader_lingering_ = true;
+    while (static_cast<int>(queue_.size()) < config_.max_batch_size &&
+           cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
     }
-    std::vector<Slot*> batch;
-    const int take = std::min(static_cast<int>(queue_.size()),
-                              config_.max_batch_size);
-    batch.reserve(take);
-    for (int i = 0; i < take; ++i) {
-      Slot* s = queue_.front();
-      queue_.pop_front();
-      s->taken = true;
-      batch.push_back(s);
-    }
-    lock.unlock();
-    ExecuteBatch(batch);
-    lock.lock();
-    for (Slot* s : batch) s->done = true;
-    cv_.notify_all();
+    leader_lingering_ = false;
   }
-  // Abdicate; any queued submitter may elect itself leader.
+  const int batch_size =
+      std::min(static_cast<int>(queue_.size()), config_.max_batch_size);
+  BatchSizeHistogram().Record(static_cast<double>(batch_size));
+  // One registry read per batch: a concurrent Publish lands between
+  // batches, and every member computes with, and is tagged by, the
+  // snapshot pinned here — however long its own predict takes.
+  const std::shared_ptr<const ModelSnapshot> snapshot = Pin();
+  // Dispatch ends every member's queue wait: record it per member
+  // (submit -> now), into both the queue-wait histogram and each
+  // member's span tree. It is distinct from the leader's linger: a
+  // follower arriving mid-linger waits less than the full window, one
+  // parked behind a full batch waits longer.
+  const double dispatch_ms = obs::UptimeMs();
+  for (int i = 0; i < batch_size; ++i) {
+    Slot* s = queue_.front();
+    queue_.pop_front();
+    s->snapshot = snapshot;
+    s->batch_size = batch_size;
+    obs::RecordExternalSpan(s->ctx, "serve.batch.queue_wait.ms",
+                            s->submit_ms, dispatch_ms - s->submit_ms,
+                            &QueueWaitHistogram(), batch_size);
+    s->dispatched = true;
+  }
+  // Abdicate at once: the members compute on their own threads, and any
+  // submitter still queued may elect itself leader.
   leader_active_ = false;
   cv_.notify_all();
 }
 
-void BatchScheduler::ExecuteBatch(const std::vector<Slot*>& batch) {
-  const int batch_size = static_cast<int>(batch.size());
-  BatchSizeHistogram().Record(static_cast<double>(batch_size));
-  // Dispatch marks the end of every member's queue wait: record it per
-  // member (submit -> now), into both the queue-wait histogram and each
-  // member's span tree.
-  const double dispatch_ms = obs::UptimeMs();
-  for (Slot* s : batch) {
-    const double wait_ms = dispatch_ms - s->submit_ms;
-    s->result.queue_wait_ms = wait_ms;
-    s->result.batch_size = batch_size;
-    obs::RecordExternalSpan(s->ctx, "serve.batch.queue_wait.ms",
-                            s->submit_ms, wait_ms, &QueueWaitHistogram(),
-                            batch_size);
-  }
-  // The leader's thread does the whole batch's tensor work: no-grad,
-  // one arena scope, so every forward-pass buffer recycles through this
-  // thread's pool.
+BatchResult BatchScheduler::Run(const synth::Sample& sample,
+                                const Slot& slot) const {
+  // No-grad, one arena scope: every forward-pass buffer recycles through
+  // the calling thread's pool.
   NoGradGuard no_grad;
   ArenaGuard arena;
-
-  // One registry read per batch: a concurrent Publish lands between
-  // batches, never inside one, and every request of this batch is tagged
-  // with the version that actually served it.
-  std::shared_ptr<const ModelSnapshot> snapshot;
-  const core::M2g4Rtp* model = fallback_model_;
-  int64_t version = 0;
-  if (registry_ != nullptr) {
-    snapshot = registry_->Current();
-    model = snapshot->model.get();
-    version = snapshot->version;
-  }
-
-  // The whole batch runs through one PredictBatch call: mixed request
-  // shapes share the plan page set (sized to the batch max; per-sample
-  // bits are untouched by oversized scratch, so parity holds — the
-  // serve_test parity suite covers mixed-size batches).
-  std::vector<const synth::Sample*> samples;
-  std::vector<obs::TraceContext> member_traces;
-  samples.reserve(batch.size());
-  member_traces.reserve(batch.size());
-  for (Slot* s : batch) {
-    samples.push_back(&s->sample);
-    member_traces.push_back(s->ctx);
-  }
-  std::vector<core::RtpPrediction> preds;
-  {
-    // The batch trace owns the batch-amortized work: graph build and
-    // encode record once under serve.batch.execute.ms, and PredictBatch
-    // fans their ids out to each member tree as shared-span references.
-    obs::BatchTrace batch_trace(batch_size);
-    preds =
-        model->PredictBatch(samples, config_.max_batch_size, &member_traces);
-  }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    batch[i]->result.prediction = std::move(preds[i]);
-    batch[i]->result.sample = std::move(batch[i]->sample);
-    batch[i]->result.model_version = version;
-  }
-}
-
-BatchResult BatchScheduler::ExecuteSingle(synth::Sample sample) const {
-  NoGradGuard no_grad;
-  ArenaGuard arena;
-  std::shared_ptr<const ModelSnapshot> snapshot;
-  const core::M2g4Rtp* model = fallback_model_;
   BatchResult result;
-  if (registry_ != nullptr) {
-    snapshot = registry_->Current();
-    model = snapshot->model.get();
-    result.model_version = snapshot->version;
-  }
-  result.prediction = model->Predict(sample);
-  result.sample = std::move(sample);
+  result.prediction = slot.snapshot->model->Predict(sample);
+  result.model_version = slot.snapshot->version;
+  result.batch_size = slot.batch_size;
   return result;
 }
 

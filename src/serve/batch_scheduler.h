@@ -7,7 +7,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "core/model.h"
 #include "obs/trace_context.h"
@@ -20,56 +19,53 @@ namespace m2g::serve {
 /// concurrent submitters: a full batch dispatches immediately, a lone
 /// request waits at most `max_linger_us` for company.
 struct BatchConfig {
-  /// Largest micro-batch handed to M2g4Rtp::PredictBatch (also its plan
-  /// capacity hint, so pooled plan pages keep one size class).
+  /// Most requests one leader admits per dispatch. Every member computes
+  /// on its own thread, so this bounds how many submitters share one
+  /// snapshot read, not how much work any one thread does.
   int max_batch_size = 8;
   /// How long an under-full batch lingers for more arrivals before
   /// dispatching anyway. Bounds added latency under light load.
   int max_linger_us = 200;
-  /// Submission-queue bound. At the bound, Submit sheds to an inline
-  /// single-request execution (serve.batch.sheds) instead of queueing —
-  /// overload degrades to the unbatched path, it never deadlocks.
+  /// Submission-queue bound. At the bound, Submit sheds the request
+  /// (serve.batch.sheds): it skips the queue and runs at once on the
+  /// calling thread — overload degrades to the unbatched path, it never
+  /// deadlocks.
   int max_queue_depth = 256;
 };
 
 /// One served request's outputs, handed back to the submitting thread.
 struct BatchResult {
   core::RtpPrediction prediction;
-  /// The submitter's sample, moved through the batch and back (callers
-  /// need the node ordering; it is never copied along the way).
-  synth::Sample sample;
   /// Version of the ModelSnapshot that produced `prediction` (0 when the
   /// scheduler runs on a fixed model with no registry).
   int64_t model_version = 0;
-  /// Size of the micro-batch this request was served in (1 on the shed
+  /// Size of the micro-batch this request was admitted in (1 on the shed
   /// path).
   int batch_size = 1;
-  /// Time this request waited in the queue from Submit to batch dispatch
-  /// (0 on the shed path). Distinct from the leader's linger: a follower
-  /// arriving mid-linger waits less than the full window, one parked
-  /// behind a full batch waits longer.
-  double queue_wait_ms = 0;
-  /// True when the queue was full and the request ran inline instead.
+  /// True when the queue was full and the request skipped it.
   bool shed = false;
 };
 
-/// Coalesces concurrent Submit() calls into micro-batches using the
+/// Admits concurrent Submit() calls in micro-batches using the
 /// leader/follower protocol: every submitter enqueues its slot; the
 /// first submitter that finds no active leader becomes the leader,
 /// lingers briefly for stragglers, pops up to max_batch_size slots FIFO,
-/// and drives M2g4Rtp::PredictBatch for everyone — same-shaped requests
-/// share one group so each group's plan page set is traversed once. The
-/// remaining submitters sleep until their slot is marked done. No
-/// dedicated worker thread exists: an idle service costs nothing, and a
-/// single uncontended Submit degenerates to one queue push + one pop +
-/// an unbatched predict on the calling thread.
+/// pins one model snapshot for all of them, marks them dispatched and
+/// steps down at once. Every submitter, the leader included, then runs
+/// Predict for its own sample on its own thread. A batch is a unit of
+/// admission and snapshot pinning, not of compute: members run in
+/// parallel, and no submitter sleeps while another computes its request.
+/// No dedicated worker thread exists: an idle service costs nothing, and
+/// a single uncontended Submit is one queue push + one pop + a predict
+/// on the calling thread.
 ///
-/// Batched responses are bitwise-identical to sequential
-/// Predict() — PredictBatch guarantees it per sample (serve_test).
+/// Every response is bitwise-identical to Predict() on the model that
+/// served it (serve_test).
 ///
 /// Reads the model through a ModelRegistry when one is given — one
-/// snapshot read per batch, so a hot swap lands between batches and every
-/// request of a batch is tagged with the version that actually served it.
+/// snapshot read per batch, so a hot swap lands between batches, every
+/// member computes with the snapshot its leader pinned, and each
+/// response is tagged with that snapshot's version.
 class BatchScheduler {
  public:
   /// Exactly one of `registry` / `fallback_model` may be null. Both must
@@ -78,45 +74,44 @@ class BatchScheduler {
                  const core::M2g4Rtp* fallback_model,
                  const BatchConfig& config);
 
-  /// Blocks until the sample's prediction is ready (computed either by
-  /// this thread as batch leader, or by a concurrent submitter's batch).
-  BatchResult Submit(synth::Sample sample);
+  /// Blocks until the sample is dispatched, then predicts it on the
+  /// calling thread.
+  BatchResult Submit(const synth::Sample& sample);
 
   /// Submissions that bypassed the queue because it was full.
   uint64_t sheds() const { return sheds_.load(std::memory_order_relaxed); }
 
  private:
   /// One submitter's parking spot, stack-allocated in Submit. The leader
-  /// may touch a foreign slot only between popping it (`taken`) and
-  /// marking it `done` under the lock — after that the submitter is free
-  /// to move the result out and destroy the slot.
+  /// fills the dispatch fields and sets `dispatched` under the lock; the
+  /// submitter reads them only after it has seen `dispatched` under the
+  /// lock.
   struct Slot {
-    synth::Sample sample;
-    BatchResult result;
-    bool taken = false;
-    bool done = false;
     /// The submitter's trace context, captured at Submit so the leader
-    /// can attribute queue wait, shared batch stages, and this member's
-    /// decode back to the owning request's span tree.
+    /// can attribute the queue wait to the owning request's span tree.
     obs::TraceContext ctx;
     /// Submit time (ms since process start) for the queue-wait span.
     double submit_ms = 0;
+    bool dispatched = false;
+    /// Set at dispatch: the model this member computes with.
+    std::shared_ptr<const ModelSnapshot> snapshot;
+    int batch_size = 1;
   };
 
-  /// Runs batches (lock held on entry/exit) until `mine` is done, then
-  /// abdicates. `mine` is always in the first popped batch unless more
-  /// than a full batch of earlier arrivals is queued ahead of it.
-  void LeadLoop(std::unique_lock<std::mutex>& lock, Slot* mine);
+  /// Lingers, dispatches one batch and abdicates. Called with the lock
+  /// held by a submitter that found no active leader; the batch may not
+  /// include the leader's own slot when a full batch was queued ahead.
+  void Lead(std::unique_lock<std::mutex>& lock);
 
-  /// Executes one popped batch. Called WITHOUT the lock: the only slots
-  /// it touches are `taken` ones no other thread may access.
-  void ExecuteBatch(const std::vector<Slot*>& batch);
+  /// The one execution function: Predict for `sample` with the snapshot
+  /// `slot` pins, on the calling thread (batched and shed paths alike).
+  BatchResult Run(const synth::Sample& sample, const Slot& slot) const;
 
-  /// Queue-full shed path: unbatched predict on the calling thread.
-  BatchResult ExecuteSingle(synth::Sample sample) const;
+  /// The registry's current snapshot, or the fixed model as version 0.
+  std::shared_ptr<const ModelSnapshot> Pin() const;
 
   const ModelRegistry* registry_;
-  const core::M2g4Rtp* fallback_model_;
+  std::shared_ptr<const ModelSnapshot> fixed_;
   const BatchConfig config_;
 
   std::mutex mu_;

@@ -19,7 +19,7 @@ void FeatureExtractor::BuildSample(const RtpRequest& request,
   M2G_CHECK(!request.pending.empty());
   synth::Sample& s = *out;
   // Reset by clearing each vector rather than assigning a fresh Sample,
-  // so a reused `out` (a warm batch slot) keeps its vector capacity.
+  // so a reused `out` keeps its vector capacity.
   s.day = 0;
   s.locations.clear();
   s.aoi_node_ids.clear();

@@ -30,8 +30,7 @@ class FeatureExtractor {
 
   /// In-place variant for the serving hot path: builds straight into
   /// `*out` (clearing any previous contents), so the sample's vectors are
-  /// constructed in their final home — the response or a batch slot —
-  /// and never copied. `out` must not alias `request`.
+  /// constructed in their final home — the response — and never copied. `out` must not alias `request`.
   void BuildSample(const RtpRequest& request, synth::Sample* out) const;
 
  private:

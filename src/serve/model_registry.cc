@@ -30,14 +30,14 @@ obs::Counter& PublishFailureCounter() {
 ModelRegistry::ModelRegistry(std::shared_ptr<const core::M2g4Rtp> initial,
                              int64_t initial_version) {
   M2G_CHECK(initial != nullptr);
-  auto snapshot = std::make_shared<const ModelSnapshot>(
+  snapshot_ = std::make_shared<const ModelSnapshot>(
       ModelSnapshot{std::move(initial), initial_version});
-  snapshot_.store(std::move(snapshot), std::memory_order_release);
   VersionGauge().Set(static_cast<double>(initial_version));
 }
 
 std::shared_ptr<const ModelSnapshot> ModelRegistry::Current() const {
-  return snapshot_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return snapshot_;
 }
 
 int64_t ModelRegistry::Publish(std::shared_ptr<const core::M2g4Rtp> model) {
@@ -46,9 +46,14 @@ int64_t ModelRegistry::Publish(std::shared_ptr<const core::M2g4Rtp> model) {
   const int64_t version = Current()->version + 1;
   auto snapshot = std::make_shared<const ModelSnapshot>(
       ModelSnapshot{std::move(model), version});
-  // The one swap point: readers that loaded the old snapshot keep it
-  // alive through their shared_ptr; new batches see the new one.
-  snapshot_.store(std::move(snapshot), std::memory_order_release);
+  {
+    // The one swap point: readers that copied the old snapshot keep it
+    // alive through their shared_ptr; new batches see the new one. The
+    // old pointer is released after the lock, so a last reference never
+    // destroys a model while readers wait.
+    std::lock_guard<std::mutex> swap_lock(snapshot_mu_);
+    snapshot_.swap(snapshot);
+  }
   VersionGauge().Set(static_cast<double>(version));
   SwapCounter().Increment();
   swaps_.fetch_add(1, std::memory_order_relaxed);

@@ -14,22 +14,23 @@ namespace m2g::serve {
 
 /// One immutable published model: the weights plus the version that
 /// produced them. Snapshots are handed out by shared_ptr, so a snapshot
-/// read by an in-flight batch stays alive — weights readable, version tag
-/// stable — until the last batch that started on it finishes, no matter
-/// how many swaps happen meanwhile.
+/// pinned for an in-flight request stays alive — weights readable,
+/// version tag stable — until the last request that pinned it finishes,
+/// no matter how many swaps happen meanwhile.
 struct ModelSnapshot {
   std::shared_ptr<const core::M2g4Rtp> model;
   int64_t version = 0;
 };
 
 /// Double-buffered model registry: the serving side of weights hot-swap.
-/// Readers (`Current()`) do one lock-free atomic shared_ptr load per
-/// micro-batch, so every request of a batch is served — and its response
+/// Readers (`Current()`) copy the snapshot pointer once per micro-batch,
+/// so every request of a batch is served — and its response
 /// version-tagged — by the same weights. Writers (`Publish*`) build the
-/// replacement off the serving threads, then swap the buffer pointer in
-/// one atomic store; the displaced snapshot drains by refcount as its
-/// last in-flight batches retire. No serving thread ever blocks on a
-/// swap, and no request is ever dropped or served by a half-loaded model.
+/// replacement off the serving threads, then swap the pointer; the
+/// displaced snapshot drains by refcount as the last in-flight requests
+/// that pinned it retire. Readers and the swap share one mutex held only
+/// for a pointer copy or swap, so no serving thread waits on a model
+/// load, and no request is ever dropped or served by a half-loaded model.
 ///
 /// Observability: `model.version` gauge tracks the live version;
 /// `serve.swaps` counts completed publishes.
@@ -40,7 +41,7 @@ class ModelRegistry {
   explicit ModelRegistry(std::shared_ptr<const core::M2g4Rtp> initial,
                          int64_t initial_version = 1);
 
-  /// The current snapshot (lock-free; never null).
+  /// The current snapshot (never null).
   std::shared_ptr<const ModelSnapshot> Current() const;
 
   /// Publishes `model` as the new current snapshot and returns its
@@ -61,7 +62,12 @@ class ModelRegistry {
   }
 
  private:
-  std::atomic<std::shared_ptr<const ModelSnapshot>> snapshot_;
+  // Guards `snapshot_` for one pointer copy or swap. Not
+  // std::atomic<std::shared_ptr>: libstdc++ 12's load() releases its
+  // internal lock with a relaxed store, so a load followed by a
+  // Publish is a data race under the C++ memory model (TSan reports it).
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const ModelSnapshot> snapshot_;
   std::mutex publish_mu_;
   std::atomic<uint64_t> swaps_{0};
 };

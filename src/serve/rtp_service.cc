@@ -61,7 +61,7 @@ RtpService::Response RtpService::Handle(const RtpRequest& request) const {
   event.simd_tier = simd::TierName(simd::ActiveTier());
   if (sessions_ != nullptr) {
     // Encode-session path: delta-eligible requests bypass the batch
-    // encode and run inline against their courier's cached state. The
+    // queue and run inline against their courier's cached state. The
     // session mutex serializes concurrent Handle() calls for the same
     // courier; distinct couriers proceed in parallel.
     ArenaGuard arena;
@@ -96,16 +96,13 @@ RtpService::Response RtpService::Handle(const RtpRequest& request) const {
     }
     sessions_->Release(courier_id, session_bytes);
   } else if (scheduler_ != nullptr) {
-    // Batching path: extract here, predict wherever the scheduler
-    // coalesces us. The sample rides through the batch by move and comes
-    // back with the prediction and the serving snapshot's version.
-    synth::Sample sample;
+    // Batching path: extract here; the scheduler admits the request,
+    // pins its snapshot, and this thread runs the predict.
     {
       obs::TraceSpan span("serve.stage.feature_extract.ms", &extract_hist);
-      extractor_.BuildSample(request, &sample);
+      extractor_.BuildSample(request, &response.sample);
     }
-    BatchResult result = scheduler_->Submit(std::move(sample));
-    response.sample = std::move(result.sample);
+    BatchResult result = scheduler_->Submit(response.sample);
     response.prediction = std::move(result.prediction);
     response.model_version = result.model_version;
     event.batch_size = result.batch_size;

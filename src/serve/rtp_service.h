@@ -29,9 +29,8 @@ struct EncodeSessionsConfig {
 /// one-thread-one-request path stays the default until a deployment
 /// opts in, making the batching refactor a pure restructuring under flag.
 /// Encode sessions take precedence over batching: a session-routed
-/// request is delta-eligible and bypasses the batch encode entirely
-/// (micro-batching amortizes full encodes; a delta step is cheaper than
-/// a batched slot and must run against its courier's cached state).
+/// request runs inline against its courier's cached state and never
+/// enters the batch queue.
 struct ServingConfig {
   bool batching_enabled = false;
   BatchConfig batch;
@@ -48,9 +47,10 @@ struct ServingConfig {
 /// scheduler's queue is internally synchronized, and the only other
 /// mutable service state is the atomic request counter.
 ///
-/// With `batching_enabled`, concurrent Handle() calls coalesce into
-/// micro-batches (BatchScheduler) whose responses are bitwise-identical
-/// to the unbatched path, per request.
+/// With `batching_enabled`, concurrent Handle() calls are admitted in
+/// micro-batches that each pin one model snapshot (BatchScheduler); every
+/// request still computes on its own thread, and responses are
+/// bitwise-identical to the unbatched path, per request.
 class RtpService {
  public:
   /// Fixed-model service, legacy path only. `model` must outlive the

@@ -559,7 +559,7 @@ TEST(RequestTraceTest, DisabledTraceIsInert) {
   SetEnabled(true);
 }
 
-TEST(RequestTraceTest, ExternalAndSharedSpansAttachCrossThread) {
+TEST(RequestTraceTest, ExternalSpanAttachesCrossThread) {
   M2G_SKIP_IF_OBS_DISABLED();
   SetEnabled(true);
   ClearTraceTrees();
@@ -570,58 +570,28 @@ TEST(RequestTraceTest, ExternalAndSharedSpansAttachCrossThread) {
     RequestTrace trace("member");
     const TraceContext ctx = trace.context();
     ASSERT_TRUE(ctx.active());
-    // Another thread (the batch leader) attributes queue wait and the
-    // shared encode span back to this member via its captured context.
+    // Another thread (the batch leader) attributes queue wait back to
+    // this member via its captured context.
     std::thread leader([&ctx, &wait_hist] {
       RecordExternalSpan(ctx, "serve.batch.queue_wait.ms", 1.0, 2.5,
                          &wait_hist, 4);
-      RecordSharedSpanRef(ctx, "serve.stage.encode.ms", 777, 3.0, 1.5, 4);
     });
     leader.join();
   }
-  // The external span fed its histogram; the shared *reference* did not
-  // (the shared span itself recorded the stage once for the batch).
   EXPECT_EQ(wait_hist.Snapshot().count, 1u);
   const std::vector<TraceTree> trees = RecentTraceTrees();
   ASSERT_EQ(trees.size(), 1u);
-  ASSERT_EQ(trees[0].spans.size(), 2u);
+  ASSERT_EQ(trees[0].spans.size(), 1u);
   const TraceEvent& wait = trees[0].spans[0];
-  const TraceEvent& shared = trees[0].spans[1];
   EXPECT_STREQ(wait.stage, "serve.batch.queue_wait.ms");
-  EXPECT_EQ(wait.ref_span_id, 0u);
   EXPECT_EQ(wait.batch_size, 4);
   EXPECT_DOUBLE_EQ(wait.duration_ms, 2.5);
-  EXPECT_STREQ(shared.stage, "serve.stage.encode.ms");
-  EXPECT_EQ(shared.ref_span_id, 777u);
-  EXPECT_DOUBLE_EQ(shared.duration_ms, 1.5);
-  // Both landed in the wide event's per-stage sums.
+  // It landed in the wide event's per-stage sums.
   const std::vector<WideEvent> events = WideEventSink::Global().Recent();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_DOUBLE_EQ(events[0].queue_wait_ms, 2.5);
-  EXPECT_DOUBLE_EQ(events[0].encode_ms, 1.5);
   ClearTraceTrees();
   WideEventSink::Global().Clear();
-}
-
-TEST(BatchTraceTest, OpensTaggedRootAndPushesBatchTree) {
-  M2G_SKIP_IF_OBS_DISABLED();
-  SetEnabled(true);
-  ClearTraceTrees();
-  ResetTraceIds(1);
-  {
-    BatchTrace batch(5);
-    ASSERT_TRUE(batch.active());
-    TraceSpan shared("serve.stage.graph_build.ms");
-  }
-  const std::vector<TraceTree> trees = RecentTraceTrees();
-  ASSERT_EQ(trees.size(), 1u);
-  EXPECT_EQ(trees[0].tag, "batch");
-  ASSERT_EQ(trees[0].spans.size(), 2u);
-  EXPECT_STREQ(trees[0].spans[0].stage, "serve.stage.graph_build.ms");
-  EXPECT_STREQ(trees[0].spans[1].stage, "serve.batch.execute.ms");
-  EXPECT_EQ(trees[0].spans[1].batch_size, 5);
-  EXPECT_EQ(trees[0].spans[0].parent_span_id, trees[0].spans[1].span_id);
-  ClearTraceTrees();
 }
 
 TEST(WideEventTest, HeadSamplingKeepsEveryNthTailKeepsSlow) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -221,10 +222,9 @@ void ExpectPredictionBitwiseEq(const core::RtpPrediction& got,
 }
 
 TEST(PredictBatchTest, BitwiseIdenticalToSequentialPooledAndPlain) {
-  // The acceptance bar for the batching refactor: for every sample of a
-  // mixed-size batch, PredictBatch must reproduce Predict's bits — with
-  // pooled storage (the serving configuration) and with the pool kill
-  // switch off (plain heap storage).
+  // For every sample of a mixed-size group, PredictBatch must reproduce
+  // Predict's bits — with pooled storage (the serving configuration) and
+  // with the pool kill switch off (plain heap storage).
   ServeFixture* f = Fixture();
   NoGradGuard no_grad;
   const auto& samples = f->built.splits.test.samples;
@@ -239,14 +239,14 @@ TEST(PredictBatchTest, BitwiseIdenticalToSequentialPooledAndPlain) {
 
   {
     ArenaGuard arena;
-    std::vector<core::RtpPrediction> got = f->model->PredictBatch(batch, 8);
+    std::vector<core::RtpPrediction> got = f->model->PredictBatch(batch);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
       ExpectPredictionBitwiseEq(got[i], want[i]);
     }
   }
   TensorPool::set_enabled(false);
-  std::vector<core::RtpPrediction> plain = f->model->PredictBatch(batch, 8);
+  std::vector<core::RtpPrediction> plain = f->model->PredictBatch(batch);
   TensorPool::set_enabled(true);
   ASSERT_EQ(plain.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
@@ -342,18 +342,12 @@ TEST(RtpServiceBatchingTest, ConcurrentStressZeroSteadyStateMisses) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      // Deterministic warm-up covering every batch composition this
-      // thread can later execute as leader: the full-size batch (whose
-      // plan page set and per-sample buffers are supersets of every
-      // smaller composition at the same capacity hint) and the
-      // single-request fallback (which builds a capacity-1 plan with
-      // different, smaller size classes).
+      // Deterministic warm-up: every batch member runs its own Predict
+      // on its own thread, so one Predict warms this thread's pool for
+      // everything it will compute, whatever the batch composition.
       {
         NoGradGuard no_grad;
         ArenaGuard arena;
-        std::vector<const synth::Sample*> warm_batch(
-            config.batch.max_batch_size, &sample);
-        f->model->PredictBatch(warm_batch, config.batch.max_batch_size);
         f->model->Predict(sample);
       }
       sync.arrive_and_wait();  // all threads warm
@@ -493,6 +487,92 @@ TEST(ModelRegistryTest, SwapUnderConcurrentBatchedLoadDropsNothing) {
   EXPECT_EQ(post.model_version, 2);
 }
 
+TEST(ModelRegistryTest, SwapToDifferentWeightsUnderBatchedLoadMatchesVersion) {
+  // A batch member computes after its leader has dispatched it, so a
+  // Publish can land between dispatch and compute. Alternate two models
+  // with different weights under batched load: every response must be
+  // byte-equal to Predict of the model its version tag names — proof
+  // that each member computes with the snapshot its leader pinned.
+  ServeFixture* f = Fixture();
+  const auto& samples = f->built.splits.test.samples;
+  const int kDistinct = std::min<int>(4, static_cast<int>(samples.size()));
+  core::ModelConfig other_config = f->model->config();
+  other_config.seed += 1;
+  const std::shared_ptr<const core::M2g4Rtp> other =
+      std::make_shared<core::M2g4Rtp>(other_config);
+  std::shared_ptr<const core::M2g4Rtp> initial(f->model.get(),
+                                               [](const core::M2g4Rtp*) {});
+  std::vector<RtpRequest> requests;
+  std::vector<core::RtpPrediction> want_initial, want_other;
+  bool weights_matter = false;
+  {
+    NoGradGuard no_grad;
+    for (int i = 0; i < kDistinct; ++i) {
+      requests.push_back(f->RequestFromSample(samples[i]));
+      want_initial.push_back(initial->Predict(samples[i]));
+      want_other.push_back(other->Predict(samples[i]));
+      weights_matter =
+          weights_matter ||
+          want_initial[i].location_route != want_other[i].location_route ||
+          want_initial[i].location_times_min !=
+              want_other[i].location_times_min;
+    }
+  }
+  ASSERT_TRUE(weights_matter) << "the two models must disagree somewhere";
+
+  // Odd versions serve `initial`, even versions serve `other`.
+  ModelRegistry registry(initial);
+  ServingConfig config;
+  config.batching_enabled = true;
+  config.batch.max_batch_size = 4;
+  config.batch.max_linger_us = 200;
+  RtpService service(&f->built.world, &registry, config);
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  std::barrier sync(kThreads + 1);
+  std::atomic<int> finished{0};
+  std::vector<std::vector<RtpService::Response>> responses(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      sync.arrive_and_wait();
+      for (int r = 0; r < kRounds; ++r) {
+        for (int i = 0; i < kDistinct; ++i) {
+          responses[t].push_back(service.Handle(requests[i]));
+        }
+      }
+      finished.fetch_add(1);
+    });
+  }
+  sync.arrive_and_wait();
+  int publishes = 0;
+  while (finished.load() < kThreads) {
+    registry.Publish(publishes % 2 == 0 ? other : initial);
+    ++publishes;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(registry.swap_count(), static_cast<uint64_t>(publishes));
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(responses[t].size(),
+              static_cast<size_t>(kRounds * kDistinct));
+    for (int r = 0; r < kRounds; ++r) {
+      for (int i = 0; i < kDistinct; ++i) {
+        const RtpService::Response& resp = responses[t][r * kDistinct + i];
+        ASSERT_GE(resp.model_version, 1);
+        ASSERT_LE(resp.model_version, 1 + publishes);
+        SCOPED_TRACE(testing::Message() << "version " << resp.model_version);
+        ExpectPredictionBitwiseEq(resp.prediction,
+                                  resp.model_version % 2 == 1
+                                      ? want_initial[i]
+                                      : want_other[i]);
+      }
+    }
+  }
+}
+
 TEST(TelemetryTest, ServingExportsCoverEveryStageAndCounter) {
   // End-to-end telemetry: a concurrent replay (so the thread-pool
   // gauges exist) plus one ETA call must leave every promised serving
@@ -554,11 +634,11 @@ TEST(TelemetryTest, ServingExportsCoverEveryStageAndCounter) {
 #define M2G_SKIP_IF_OBS_DISABLED() (void)0
 #endif
 
-TEST(BatchTracingTest, BatchedRequestYieldsSpanTreeWithSharedStageRefs) {
-  // The PR-8 acceptance shape: a request served in a batch of size > 1
-  // must finalize into a span tree that carries its queue wait, refers
-  // to the batch-amortized graph/encode spans by id, and whose
-  // per-stage sums fit inside the whole-request latency.
+TEST(BatchTracingTest, BatchedMembersRecordOwnStagesOnOwnThreads) {
+  // A request served in a batch of size > 1 must finalize into a span
+  // tree that carries its queue wait and its own graph-build and encode
+  // spans, computed on its own thread, and whose per-stage sums fit
+  // inside the whole-request latency.
   M2G_SKIP_IF_OBS_DISABLED();
   ServeFixture* f = Fixture();
   obs::SetEnabled(true);
@@ -588,20 +668,29 @@ TEST(BatchTracingTest, BatchedRequestYieldsSpanTreeWithSharedStageRefs) {
   }
   for (std::thread& th : threads) th.join();
 
-  const std::vector<obs::TraceTree> trees = obs::RecentTraceTrees();
-  // The batch leader's own tree holds the shared spans members refer to.
-  std::vector<uint64_t> batch_span_ids;
-  for (const obs::TraceTree& tree : trees) {
-    if (tree.tag != "batch") continue;
-    for (const obs::TraceEvent& span : tree.spans) {
-      batch_span_ids.push_back(span.span_id);
-    }
+  // Wide events: batch attribution present and per-stage sums within
+  // the request's own wall time.
+  std::vector<uint64_t> batched_traces;
+  for (const obs::WideEvent& e : obs::WideEventSink::Global().Recent()) {
+    if (e.tag != "rtp") continue;
+    EXPECT_TRUE(e.batched);
+    EXPECT_FALSE(e.shed);
+    EXPECT_GT(e.num_locations, 0);
+    EXPECT_EQ(e.beam_width, f->model->config().beam_width);
+    const double stage_sum = e.feature_extract_ms + e.queue_wait_ms +
+                             e.graph_build_ms + e.encode_ms + e.decode_ms +
+                             e.eta_head_ms;
+    EXPECT_LE(stage_sum, e.total_ms + 1e-3);
+    if (e.batch_size >= 2) batched_traces.push_back(e.trace_id);
   }
-  ASSERT_FALSE(batch_span_ids.empty());
+  // The barrier + linger make a full batch overwhelmingly likely, but
+  // the scheduler is free to split; require that batching was observed,
+  // not a specific composition.
+  EXPECT_GE(batched_traces.size(), 2u);
 
   int member_trees = 0;
-  int batched_member_trees = 0;
-  for (const obs::TraceTree& tree : trees) {
+  std::vector<int> encode_slots;
+  for (const obs::TraceTree& tree : obs::RecentTraceTrees()) {
     if (tree.tag != "rtp") continue;
     ++member_trees;
     // Parent/child invariants: exactly one root (the request span), and
@@ -627,56 +716,42 @@ TEST(BatchTracingTest, BatchedRequestYieldsSpanTreeWithSharedStageRefs) {
     EXPECT_STREQ(root->stage, "serve.request.ms");
 
     const obs::TraceEvent* queue_wait = nullptr;
-    const obs::TraceEvent* graph_ref = nullptr;
-    const obs::TraceEvent* encode_ref = nullptr;
+    const obs::TraceEvent* graph = nullptr;
+    const obs::TraceEvent* encode = nullptr;
     for (const obs::TraceEvent& span : tree.spans) {
-      if (std::string(span.stage) == "serve.batch.queue_wait.ms") {
-        queue_wait = &span;
-      }
-      if (span.ref_span_id == 0) continue;
-      if (std::string(span.stage) == "serve.stage.graph_build.ms") {
-        graph_ref = &span;
-      } else if (std::string(span.stage) == "serve.stage.encode.ms") {
-        encode_ref = &span;
-      }
+      const std::string stage = span.stage;
+      if (stage == "serve.batch.queue_wait.ms") queue_wait = &span;
+      if (stage == "serve.stage.graph_build.ms") graph = &span;
+      if (stage == "serve.stage.encode.ms") encode = &span;
     }
     ASSERT_NE(queue_wait, nullptr);
     EXPECT_GE(queue_wait->duration_ms, 0.0);
-    if (graph_ref == nullptr) continue;  // shed/inline member: no refs
-    ASSERT_NE(encode_ref, nullptr);
-    EXPECT_GE(graph_ref->batch_size, 1);
-    EXPECT_EQ(graph_ref->batch_size, encode_ref->batch_size);
-    // The references resolve to real spans owned by a batch tree.
-    EXPECT_NE(std::find(batch_span_ids.begin(), batch_span_ids.end(),
-                        graph_ref->ref_span_id),
-              batch_span_ids.end());
-    EXPECT_NE(std::find(batch_span_ids.begin(), batch_span_ids.end(),
-                        encode_ref->ref_span_id),
-              batch_span_ids.end());
-    if (graph_ref->batch_size >= 2) ++batched_member_trees;
+    if (std::find(batched_traces.begin(), batched_traces.end(),
+                  tree.trace_id) == batched_traces.end()) {
+      continue;
+    }
+    // A batched member computed its own stages on its own thread: the
+    // graph and encode spans sit in its tree, recorded by the thread
+    // that opened its root.
+    ASSERT_NE(graph, nullptr);
+    ASSERT_NE(encode, nullptr);
+    EXPECT_EQ(graph->thread_slot, root->thread_slot);
+    EXPECT_EQ(encode->thread_slot, root->thread_slot);
+    EXPECT_EQ(encode->batch_size, 1);
+    encode_slots.push_back(encode->thread_slot);
   }
   EXPECT_EQ(member_trees, kThreads);
-  // The barrier + linger make a full batch overwhelmingly likely, but
-  // the scheduler is free to split; require that batching was observed,
-  // not a specific composition.
-  EXPECT_GE(batched_member_trees, 2);
-
-  // Wide events: batch attribution present and per-stage sums within
-  // the request's own wall time.
-  int batched_events = 0;
-  for (const obs::WideEvent& e : obs::WideEventSink::Global().Recent()) {
-    if (e.tag != "rtp") continue;
-    EXPECT_TRUE(e.batched);
-    EXPECT_FALSE(e.shed);
-    EXPECT_GT(e.num_locations, 0);
-    EXPECT_EQ(e.beam_width, f->model->config().beam_width);
-    const double stage_sum = e.feature_extract_ms + e.queue_wait_ms +
-                             e.graph_build_ms + e.encode_ms + e.decode_ms +
-                             e.eta_head_ms;
-    EXPECT_LE(stage_sum, e.total_ms + 1e-3);
-    if (e.batch_size >= 2) ++batched_events;
+  EXPECT_EQ(encode_slots.size(), batched_traces.size());
+  // Members of one batch encode in parallel, one thread each. Slots are
+  // only distinct below the shard cap: a long-lived process (e.g. under
+  // --gtest_repeat) may have handed out every slot, and later threads
+  // then share the last one.
+  std::sort(encode_slots.begin(), encode_slots.end());
+  if (encode_slots.empty() ||
+      encode_slots.back() < obs::internal::kMaxShards - 1) {
+    EXPECT_EQ(std::adjacent_find(encode_slots.begin(), encode_slots.end()),
+              encode_slots.end());
   }
-  EXPECT_GE(batched_events, 2);
   obs::ClearTraceTrees();
   obs::WideEventSink::Global().Clear();
 }
