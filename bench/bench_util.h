@@ -1,13 +1,8 @@
 #ifndef M2G_BENCH_BENCH_UTIL_H_
 #define M2G_BENCH_BENCH_UTIL_H_
 
-#include <cmath>
-#include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "eval/rtp_model.h"
 #include "synth/dataset.h"
@@ -58,111 +53,6 @@ inline eval::EvalScale StandardScale() {
 /// training run; Figure 5 has its own).
 inline std::string ComparisonCachePath() { return "m2g_comparison.cache"; }
 inline std::string AblationCachePath() { return "m2g_ablation.cache"; }
-
-/// Minimal JSON value builder for the machine-readable `BENCH_*.json`
-/// dumps CI archives as artifacts (the perf trajectory across PRs).
-/// Scalars serialize eagerly; objects keep insertion order so dumps diff
-/// cleanly run-to-run. Only what the benches need — no parsing, no
-/// nesting limits, compact output.
-class JsonValue {
- public:
-  static JsonValue Object() { return JsonValue(Kind::kObject); }
-  static JsonValue Array() { return JsonValue(Kind::kArray); }
-  static JsonValue Number(double v) {
-    // RFC 8259 has no NaN/Infinity literals; "%.10g" would emit bare
-    // nan/inf and corrupt the BENCH_*.json artifact. null is the closest
-    // representable value.
-    if (!std::isfinite(v)) return JsonValue(Kind::kScalar, "null");
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    return JsonValue(Kind::kScalar, buf);
-  }
-  static JsonValue Int(int64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return JsonValue(Kind::kScalar, buf);
-  }
-  static JsonValue Bool(bool v) {
-    return JsonValue(Kind::kScalar, v ? "true" : "false");
-  }
-  static JsonValue String(const std::string& s) {
-    std::string out = "\"";
-    for (char ch : s) {
-      switch (ch) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        case '\b': out += "\\b"; break;
-        case '\f': out += "\\f"; break;
-        default:
-          // Remaining control characters (RFC 8259 requires escaping all
-          // of U+0000..U+001F) as \u00XX; everything else verbatim.
-          if (static_cast<unsigned char>(ch) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(ch)));
-            out += buf;
-          } else {
-            out += ch;
-          }
-      }
-    }
-    out += '"';
-    return JsonValue(Kind::kScalar, std::move(out));
-  }
-
-  /// Object member (insertion order preserved). Returns *this to chain.
-  JsonValue& Set(const std::string& key, JsonValue v) {
-    members_.emplace_back(key, std::move(v));
-    return *this;
-  }
-  /// Array element.
-  JsonValue& Push(JsonValue v) {
-    members_.emplace_back(std::string(), std::move(v));
-    return *this;
-  }
-
-  std::string Dump() const {
-    if (kind_ == Kind::kScalar) return scalar_;
-    std::string out(1, kind_ == Kind::kObject ? '{' : '[');
-    for (size_t i = 0; i < members_.size(); ++i) {
-      if (i > 0) out += ',';
-      if (kind_ == Kind::kObject) {
-        out += String(members_[i].first).Dump();
-        out += ':';
-      }
-      out += members_[i].second.Dump();
-    }
-    out += kind_ == Kind::kObject ? '}' : ']';
-    return out;
-  }
-
- private:
-  enum class Kind { kScalar, kObject, kArray };
-  explicit JsonValue(Kind kind, std::string scalar = {})
-      : kind_(kind), scalar_(std::move(scalar)) {}
-
-  Kind kind_;
-  std::string scalar_;
-  std::vector<std::pair<std::string, JsonValue>> members_;
-};
-
-/// Writes `v` to `path` (newline-terminated). Returns false on IO error.
-inline bool WriteBenchJson(const std::string& path, const JsonValue& v) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const std::string text = v.Dump();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-  return true;
-}
 
 }  // namespace m2g::bench
 

@@ -58,31 +58,6 @@ struct ModelConfig {
   /// "w/o uncertainty": fixed 100:1 route:time loss weights.
   bool use_uncertainty_weighting = true;
 
-  // --- Serving ---
-  /// Route no-grad Predict() encodes through the fused fast path (an
-  /// EncodePlan per request). Outputs are bitwise-identical either way;
-  /// this is the A/B kill switch for bench_encode_fastpath and the
-  /// parity suite.
-  bool encode_fast_path = true;
-  /// Kill switch for the delta-aware encode sessions: with it off,
-  /// PredictIncremental always re-encodes from scratch (bitwise-identical
-  /// either way — the delta path is an arithmetic shortcut, not a model
-  /// change). Requires encode_fast_path and the GAT-e encoder to engage.
-  bool incremental_encode = true;
-  /// Staleness policy: every k-th prediction through a session performs
-  /// a full re-encode even when a delta would apply, bounding how long
-  /// any cached representation chain can grow. 1 disables deltas
-  /// entirely; large values trust the bitwise-parity guarantee.
-  int incremental_refresh_period = 64;
-  /// Kill switch for the runtime-dispatched SIMD kernel tier
-  /// (tensor/simd.h). With it off, constructing the model forces the
-  /// process-global dispatch to the scalar tier — note "process-global":
-  /// this is an operational A/B switch, not a per-model setting. Outputs
-  /// are bitwise-identical across tiers either way (simd_parity_test);
-  /// the M2G_SIMD environment variable offers the same control without a
-  /// rebuild or config change.
-  bool simd_kernels = true;
-
   graph::GraphConfig graph;
 };
 

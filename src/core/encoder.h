@@ -46,7 +46,7 @@ class LevelEncoder : public nn::Module {
                       EncodePlan* plan = nullptr) const;
 
   /// Reference autograd path: the training encode, and the baseline the
-  /// parity suite and bench_encode_fastpath A/B against.
+  /// parity suite compares the fast path against.
   EncodedLevel EncodeLegacy(const graph::LevelGraph& level,
                             const Tensor& global_embed) const;
 

@@ -46,6 +46,11 @@ constexpr int kMinCapacity = 16;
 /// the slack is bounded by the session store's LRU budget.
 int GrownCapacity(int n) { return std::max(kMinCapacity, 2 * n); }
 
+/// Staleness policy: every k-th prediction through a session performs a
+/// full re-encode even when a delta would apply, bounding how long any
+/// cached representation chain can grow.
+constexpr uint64_t kRefreshPeriod = 64;
+
 size_t MatrixBytes(const Matrix& m) { return m.size() * sizeof(float); }
 
 /// Copies a dense (n*n, d) edge matrix into the cache's padded layout
@@ -457,17 +462,11 @@ RtpPrediction M2g4Rtp::PredictIncremental(const synth::Sample& sample,
   EncodedLevel aoi_enc;
   {
     obs::TraceSpan span("serve.stage.encode.ms", &encode_hist);
-    const bool fast = config_.encode_fast_path &&
-                      config_.use_graph_encoder && !GradMode::enabled();
-    const bool sessions = fast && config_.incremental_encode;
-    std::optional<EncodePlan> plan;
-    if (fast) {
-      const int max_n = config_.use_aoi_level
-                            ? std::max(g.location.n, g.aoi.n)
-                            : g.location.n;
-      plan.emplace(max_n, config_.hidden_dim);
-    }
+    std::optional<EncodePlan> plan = MakeEncodePlan(g);
     EncodePlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
+    // Sessions ride on the fused encode: without a plan (grad mode, the
+    // BiLSTM ablation) the call is exactly Predict's encode.
+    const bool sessions = plan_ptr != nullptr;
     u = global_embed_->Embed(sample);
 
     IncrementalFallback why = IncrementalFallback::kNone;
@@ -480,8 +479,7 @@ RtpPrediction M2g4Rtp::PredictIncremental(const synth::Sample& sample,
                std::memcmp(state->u.data(), u.value().data(),
                            sizeof(float) * state->u.size()) != 0) {
       why = IncrementalFallback::kGlobalChanged;
-    } else if (state->deltas_since_full + 1 >=
-               static_cast<uint64_t>(config_.incremental_refresh_period)) {
+    } else if (state->deltas_since_full + 1 >= kRefreshPeriod) {
       why = IncrementalFallback::kRefresh;
     } else {
       loc_delta = graph::DiffLevelGraph(state->graph.location, g.location);
@@ -541,8 +539,8 @@ RtpPrediction M2g4Rtp::PredictIncremental(const synth::Sample& sample,
         state->deltas_since_full = 0;
         state->warm = true;
       } else {
-        // Sessions inert (kill switch / grad mode / BiLSTM): exactly
-        // Predict's encode, state untouched.
+        // Sessions inert (grad mode / BiLSTM): exactly Predict's encode,
+        // state untouched.
         loc_enc = location_encoder_->Encode(g.location, u, plan_ptr);
         if (config_.use_aoi_level) {
           aoi_enc = aoi_encoder_->Encode(g.aoi, u, plan_ptr);

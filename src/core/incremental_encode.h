@@ -51,7 +51,7 @@ struct LevelEncodeCache {
 /// path. kNone means the delta path ran.
 enum class IncrementalFallback {
   kNone = 0,
-  /// Kill switch off, BiLSTM ablation, or grad mode: sessions inert.
+  /// BiLSTM ablation or grad mode: sessions inert.
   kDisabled,
   /// No warm state yet (first request of a session, or after Reset).
   kCold,
@@ -62,14 +62,15 @@ enum class IncrementalFallback {
   kStructural,
   /// A level outgrew its cache capacity.
   kCapacity,
-  /// Scheduled k-th-update refresh (incremental_refresh_period).
+  /// Scheduled refresh: every 64th update through a session re-encodes
+  /// in full.
   kRefresh,
   /// The delta dirtied too many nodes to be worth it (e.g. the courier
   /// moved, shifting every node's relative features).
   kDirtySpread,
 };
 
-/// Outcome report for tests, wide events and the bench.
+/// Outcome report for tests and wide events.
 struct IncrementalResult {
   bool delta = false;  // true when the delta path produced the encodings
   IncrementalFallback fallback = IncrementalFallback::kNone;

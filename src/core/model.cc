@@ -8,7 +8,6 @@
 #include "nn/serialize.h"
 #include "obs/trace.h"
 #include "tensor/grad_mode.h"
-#include "tensor/simd.h"
 
 namespace m2g::core {
 namespace {
@@ -38,10 +37,6 @@ Tensor Detach(const Tensor& t) {
 M2g4Rtp::M2g4Rtp(const ModelConfig& config) : config_(config) {
   const Status config_status = ValidateConfig(config);
   M2G_CHECK_MSG(config_status.ok(), config_status.ToString().c_str());
-  // Process-global kill switch (see the config comment): every kernel
-  // tier is bitwise-identical, so this only trades speed for a known-
-  // simple instruction stream.
-  if (!config.simd_kernels) simd::SetTier(simd::Tier::kScalar);
   Rng rng(config.seed);
   global_embed_ = std::make_unique<GlobalFeatureEmbed>(config, &rng);
   AddChild("global_embed", global_embed_.get());
@@ -197,17 +192,7 @@ RtpPrediction M2g4Rtp::Predict(const synth::Sample& sample) const {
   EncodedLevel aoi_enc;
   {
     obs::TraceSpan span("serve.stage.encode.ms", &encode_hist);
-    // One pool-backed plan serves both levels' fused encodes. Under grad
-    // mode, the BiLSTM ablation, or the kill switch, Encode dispatches
-    // to the legacy path instead (same bits either way).
-    std::optional<EncodePlan> plan;
-    if (config_.encode_fast_path && config_.use_graph_encoder &&
-        !GradMode::enabled()) {
-      const int max_n = config_.use_aoi_level
-                            ? std::max(g.location.n, g.aoi.n)
-                            : g.location.n;
-      plan.emplace(max_n, config_.hidden_dim);
-    }
+    std::optional<EncodePlan> plan = MakeEncodePlan(g);
     EncodePlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
     u = global_embed_->Embed(sample);
     loc_enc = location_encoder_->Encode(g.location, u, plan_ptr);
@@ -265,6 +250,17 @@ RtpPrediction M2g4Rtp::DecodeWithEncodings(const synth::Sample& sample,
                           config_.time_scale_minutes);
   }
   return pred;
+}
+
+std::optional<EncodePlan> M2g4Rtp::MakeEncodePlan(
+    const graph::MultiLevelGraph& g) const {
+  // One pool-backed plan serves both levels' fused encodes. Under grad
+  // mode or the BiLSTM ablation Encode dispatches to the legacy path
+  // instead (same bits either way), so no plan is built.
+  if (!config_.use_graph_encoder || GradMode::enabled()) return std::nullopt;
+  const int max_n = config_.use_aoi_level ? std::max(g.location.n, g.aoi.n)
+                                          : g.location.n;
+  return std::optional<EncodePlan>(std::in_place, max_n, config_.hidden_dim);
 }
 
 std::vector<RtpPrediction> M2g4Rtp::PredictBatch(

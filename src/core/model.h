@@ -2,9 +2,11 @@
 #define M2G_CORE_MODEL_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/encode_plan.h"
 #include "core/encoder.h"
 #include "core/route_decoder.h"
 #include "core/sort_lstm.h"
@@ -61,9 +63,10 @@ class M2g4Rtp : public nn::Module {
   /// most one inserted/removed node per level (and the global embedding
   /// is unchanged), only the affected GAT-e attention rows and edge
   /// pairs are re-encoded (LevelEncoder::EncodeDelta); otherwise — cold
-  /// state, structural diff, capacity overflow, k-th-update refresh, or
-  /// the ModelConfig::incremental_encode kill switch — it performs a
-  /// full encode and (when sessions are enabled) rewarms the state.
+  /// state, structural diff, capacity overflow, or the periodic refresh —
+  /// it performs a full encode and rewarms the state. Under grad mode or
+  /// the BiLSTM ablation the state stays untouched and the call is
+  /// exactly Predict.
   /// The prediction is bitwise-identical to Predict(sample) in every
   /// case (incremental_encode_test). Records encode.delta_steps /
   /// encode.full_fallbacks and the encode.delta.ms span. Not
@@ -105,6 +108,13 @@ class M2g4Rtp : public nn::Module {
                              const std::vector<int>& loc_to_aoi,
                              const std::vector<int>& aoi_route,
                              const std::vector<Tensor>& aoi_times) const;
+
+  /// The request's encode scratch, shared by Predict and
+  /// PredictIncremental: a plan sized to the larger level when the fused
+  /// no-grad encode applies (GAT-e encoder, gradients disabled on this
+  /// thread), nullopt when Encode dispatches to EncodeLegacy.
+  std::optional<EncodePlan> MakeEncodePlan(
+      const graph::MultiLevelGraph& g) const;
 
   /// Predict's decode + ETA tail, shared with PredictIncremental: beam
   /// decode and SortLSTM heads over already-encoded levels, with the

@@ -24,8 +24,8 @@ namespace m2g::core {
 /// one batched LSTM gate kernel per step, and scores come from a fused
 /// tanh(keys + q)·v kernel with no (n, d) temporaries. Routes are
 /// bitwise-identical to the per-step-recompute path, which is kept as
-/// Decode*Legacy for the parity suite and the A/B bench (see
-/// docs/architecture.md, "Decode fast path").
+/// Decode*Legacy for the parity suite (see docs/architecture.md,
+/// "Decode fast path").
 class AttentionRouteDecoder : public nn::Module {
  public:
   AttentionRouteDecoder(int node_dim, int courier_dim, int lstm_hidden,
@@ -76,7 +76,7 @@ class AttentionRouteDecoder : public nn::Module {
                               int beam_width) const;
 
   /// Legacy per-step-recompute decoders: reference implementations for
-  /// decode_parity_test and the bench_decode_fastpath A/B.
+  /// decode_parity_test.
   std::vector<int> DecodeGreedyLegacy(const Tensor& nodes,
                                       const Tensor& courier) const;
   std::vector<int> DecodeBeamLegacy(const Tensor& nodes,

@@ -34,10 +34,10 @@ int ThreadSlot();
 
 }  // namespace internal
 
-/// Runtime switch for event recording (default on). Used by
-/// bench_obs_overhead to A/B instrumented vs uninstrumented serving in
-/// one binary; the M2G_OBS_DISABLED compile definition removes the same
-/// call sites entirely.
+/// Runtime switch for event recording (default on). perfbench uses it to
+/// measure instrumented vs uninstrumented serving in one binary
+/// (obs.overhead_frac); the M2G_OBS_DISABLED compile definition removes
+/// the same call sites entirely.
 void SetEnabled(bool enabled);
 inline bool Enabled() {
   return internal::g_obs_enabled.load(std::memory_order_relaxed);

@@ -22,7 +22,7 @@ double MsSinceProcessStart(std::chrono::steady_clock::time_point t) {
 
 /// Fixed-capacity ring of completed events. A mutex push is fine here:
 /// spans complete a handful of times per multi-millisecond request, and
-/// the overhead bench gates the total.
+/// perfbench's obs.overhead_frac measures the total.
 struct TraceRing {
   std::mutex mu;
   std::vector<TraceEvent> events;
@@ -165,13 +165,6 @@ void ResetTraceIds(uint64_t next) {
 }
 
 TraceContext CurrentTraceContext() { return t_trace_ctx; }
-
-TraceContextScope::TraceContextScope(const TraceContext& ctx)
-    : prev_(t_trace_ctx) {
-  t_trace_ctx = ctx;
-}
-
-TraceContextScope::~TraceContextScope() { t_trace_ctx = prev_; }
 
 void SetTraceRingCapacity(size_t capacity) {
   TraceRing& ring = Ring();

@@ -36,21 +36,6 @@ void ResetTraceIds(uint64_t next = 1);
 /// This thread's installed context ({0, 0} when none).
 TraceContext CurrentTraceContext();
 
-/// RAII: installs `ctx` as this thread's current context and restores the
-/// previous one on destruction, so work done on one thread can attribute
-/// its spans to a context captured on another.
-class TraceContextScope {
- public:
-  explicit TraceContextScope(const TraceContext& ctx);
-  ~TraceContextScope();
-
-  TraceContextScope(const TraceContextScope&) = delete;
-  TraceContextScope& operator=(const TraceContextScope&) = delete;
-
- private:
-  TraceContext prev_;
-};
-
 }  // namespace m2g::obs
 
 #endif  // M2G_OBS_TRACE_CONTEXT_H_

@@ -37,8 +37,8 @@ struct WideEvent {
   /// SIMD dispatch tier the tensor kernels ran at ("scalar", "sse2",
   /// "avx2"). Filled by the serving layer from simd::ActiveTier() —
   /// obs/ sits below tensor/, so the value arrives as a plain string.
-  /// Constant within a process unless a kill switch flips it, but
-  /// recorded per event so mixed fleets slice latency by tier.
+  /// Constant within a process, but recorded per event so mixed fleets
+  /// slice latency by tier.
   std::string simd_tier;
   int num_locations = 0;
   int num_aois = 0;
@@ -59,8 +59,8 @@ struct WideEvent {
 };
 
 /// Sampling and retention knobs. The defaults keep every event (head
-/// sampling off at 1) — bench_obs_overhead gates that a fully-enabled
-/// pipeline still costs <= 3%, so sampling is a volume knob for log
+/// sampling off at 1): perfbench's obs.overhead_frac measures what a
+/// fully-enabled pipeline costs, and sampling is a volume knob for log
 /// shipping, not a performance requirement.
 struct WideEventOptions {
   /// Keep every Nth event (1 = all, 0 = none except tail). Head sampling

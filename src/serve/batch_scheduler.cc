@@ -31,26 +31,12 @@ obs::Histogram& QueueWaitHistogram() {
 
 }  // namespace
 
-BatchScheduler::BatchScheduler(const ModelRegistry* registry,
-                               const core::M2g4Rtp* fallback_model,
+BatchScheduler::BatchScheduler(const ModelSource& models,
                                const BatchConfig& config)
-    : registry_(registry), config_(config) {
-  M2G_CHECK(registry_ != nullptr || fallback_model != nullptr);
+    : models_(models), config_(config) {
   M2G_CHECK_GE(config_.max_batch_size, 1);
   M2G_CHECK_GE(config_.max_linger_us, 0);
   M2G_CHECK_GE(config_.max_queue_depth, 1);
-  if (registry_ == nullptr) {
-    // A fixed model is served as a version-0 snapshot that does not own
-    // it, so both modes pin and run the same way.
-    fixed_ = std::make_shared<const ModelSnapshot>(ModelSnapshot{
-        std::shared_ptr<const core::M2g4Rtp>(fallback_model,
-                                             [](const core::M2g4Rtp*) {}),
-        0});
-  }
-}
-
-std::shared_ptr<const ModelSnapshot> BatchScheduler::Pin() const {
-  return registry_ != nullptr ? registry_->Current() : fixed_;
 }
 
 BatchResult BatchScheduler::Submit(const synth::Sample& sample) {
@@ -66,7 +52,7 @@ BatchResult BatchScheduler::Submit(const synth::Sample& sample) {
     lock.unlock();
     sheds_.fetch_add(1, std::memory_order_relaxed);
     ShedCounter().Increment();
-    slot.snapshot = Pin();
+    slot.snapshot = models_.Current();
     BatchResult result = Run(sample, slot);
     result.shed = true;
     return result;
@@ -108,7 +94,7 @@ void BatchScheduler::Lead(std::unique_lock<std::mutex>& lock) {
   // One registry read per batch: a concurrent Publish lands between
   // batches, and every member computes with, and is tagged by, the
   // snapshot pinned here — however long its own predict takes.
-  const std::shared_ptr<const ModelSnapshot> snapshot = Pin();
+  const std::shared_ptr<const ModelSnapshot> snapshot = models_.Current();
   // Dispatch ends every member's queue wait: record it per member
   // (submit -> now), into both the queue-wait histogram and each
   // member's span tree. It is distinct from the leader's linger: a
@@ -139,7 +125,7 @@ BatchResult BatchScheduler::Run(const synth::Sample& sample,
   ArenaGuard arena;
   BatchResult result;
   result.prediction = slot.snapshot->model->Predict(sample);
-  result.model_version = slot.snapshot->version;
+  result.snapshot = slot.snapshot;
   result.batch_size = slot.batch_size;
   return result;
 }

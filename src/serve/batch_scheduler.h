@@ -36,9 +36,9 @@ struct BatchConfig {
 /// One served request's outputs, handed back to the submitting thread.
 struct BatchResult {
   core::RtpPrediction prediction;
-  /// Version of the ModelSnapshot that produced `prediction` (0 when the
+  /// The snapshot that produced `prediction` (version 0 when the
   /// scheduler runs on a fixed model with no registry).
-  int64_t model_version = 0;
+  std::shared_ptr<const ModelSnapshot> snapshot;
   /// Size of the micro-batch this request was admitted in (1 on the shed
   /// path).
   int batch_size = 1;
@@ -62,17 +62,12 @@ struct BatchResult {
 /// Every response is bitwise-identical to Predict() on the model that
 /// served it (serve_test).
 ///
-/// Reads the model through a ModelRegistry when one is given — one
-/// snapshot read per batch, so a hot swap lands between batches, every
-/// member computes with the snapshot its leader pinned, and each
-/// response is tagged with that snapshot's version.
+/// Reads the model through a ModelSource — one snapshot read per batch,
+/// so a hot swap lands between batches, every member computes with the
+/// snapshot its leader pinned, and each response carries that snapshot.
 class BatchScheduler {
  public:
-  /// Exactly one of `registry` / `fallback_model` may be null. Both must
-  /// outlive the scheduler.
-  BatchScheduler(const ModelRegistry* registry,
-                 const core::M2g4Rtp* fallback_model,
-                 const BatchConfig& config);
+  BatchScheduler(const ModelSource& models, const BatchConfig& config);
 
   /// Blocks until the sample is dispatched, then predicts it on the
   /// calling thread.
@@ -107,11 +102,7 @@ class BatchScheduler {
   /// `slot` pins, on the calling thread (batched and shed paths alike).
   BatchResult Run(const synth::Sample& sample, const Slot& slot) const;
 
-  /// The registry's current snapshot, or the fixed model as version 0.
-  std::shared_ptr<const ModelSnapshot> Pin() const;
-
-  const ModelRegistry* registry_;
-  std::shared_ptr<const ModelSnapshot> fixed_;
+  const ModelSource models_;
   const BatchConfig config_;
 
   std::mutex mu_;

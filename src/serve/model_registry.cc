@@ -35,6 +35,18 @@ ModelRegistry::ModelRegistry(std::shared_ptr<const core::M2g4Rtp> initial,
   VersionGauge().Set(static_cast<double>(initial_version));
 }
 
+ModelSource::ModelSource(const ModelRegistry* registry) : registry_(registry) {
+  M2G_CHECK(registry != nullptr);
+}
+
+ModelSource::ModelSource(const core::M2g4Rtp* model)
+    : fixed_(std::make_shared<const ModelSnapshot>(ModelSnapshot{
+          std::shared_ptr<const core::M2g4Rtp>(model,
+                                               [](const core::M2g4Rtp*) {}),
+          0})) {
+  M2G_CHECK(model != nullptr);
+}
+
 std::shared_ptr<const ModelSnapshot> ModelRegistry::Current() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   return snapshot_;

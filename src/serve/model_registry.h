@@ -72,6 +72,26 @@ class ModelRegistry {
   std::atomic<uint64_t> swaps_{0};
 };
 
+/// Where a service reads its model: a registry's current snapshot, or a
+/// fixed model served as a non-owning version-0 snapshot, so both kinds
+/// of service pin and run a request the same way.
+class ModelSource {
+ public:
+  /// `registry` must be non-null and outlive the source.
+  explicit ModelSource(const ModelRegistry* registry);
+  /// `model` must be non-null and outlive every snapshot handed out.
+  explicit ModelSource(const core::M2g4Rtp* model);
+
+  /// The snapshot to serve with (never null).
+  std::shared_ptr<const ModelSnapshot> Current() const {
+    return registry_ != nullptr ? registry_->Current() : fixed_;
+  }
+
+ private:
+  const ModelRegistry* registry_ = nullptr;
+  std::shared_ptr<const ModelSnapshot> fixed_;
+};
+
 }  // namespace m2g::serve
 
 #endif  // M2G_SERVE_MODEL_REGISTRY_H_

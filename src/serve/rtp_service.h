@@ -61,13 +61,15 @@ class RtpService {
 
   /// Fixed-model service with serving switches.
   RtpService(const synth::World* world, const core::M2g4Rtp* model,
-             const ServingConfig& config);
+             const ServingConfig& config)
+      : RtpService(world, ModelSource(model), config) {}
 
   /// Registry-backed service: every request (or micro-batch) reads the
   /// registry's current snapshot, so published models go live between
   /// batches with zero downtime. Responses carry the snapshot's version.
   RtpService(const synth::World* world, const ModelRegistry* registry,
-             const ServingConfig& config);
+             const ServingConfig& config)
+      : RtpService(world, ModelSource(registry), config) {}
 
   /// Joint prediction plus the sample the features resolved to (callers
   /// need the node ordering to map route indices back to order ids).
@@ -102,12 +104,11 @@ class RtpService {
   static TensorPool::ArenaCounters pool_counters();
 
  private:
-  /// Serving beam width for the wide event (0 if no model is resolvable).
-  int beam_width() const;
+  RtpService(const synth::World* world, const ModelSource& models,
+             const ServingConfig& config);
 
   FeatureExtractor extractor_;
-  const core::M2g4Rtp* model_ = nullptr;
-  const ModelRegistry* registry_ = nullptr;
+  const ModelSource models_;
   std::unique_ptr<BatchScheduler> scheduler_;
   std::unique_ptr<EncodeSessionStore> sessions_;
   mutable std::atomic<int64_t> requests_served_{0};

@@ -175,7 +175,7 @@ Matrix MatMulABT(const Matrix& a, const Matrix& b) {
   // is structural. The old fused variant saved the transpose but read
   // b(j, p) with stride k inside the innermost loop — a measured ~2x
   // regression against transpose-then-multiply with the register-blocked
-  // dense row kernel; bench_memory_kernels now gates fused >= unfused.
+  // dense row kernel.
   Matrix bt = TransposeRaw(b);
   Matrix out(a.rows(), bt.cols());
   MatMulAccumulate(a, bt, &out);

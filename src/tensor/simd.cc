@@ -375,7 +375,6 @@ Tier ActiveTier() { return Active()->tier; }
 void SetTier(Tier tier) {
   if (tier > DetectedTier()) tier = DetectedTier();
   ActiveTable().store(TableFor(tier), std::memory_order_release);
-  obs::MetricsRegistry::Global().counter("tensor.simd.tier_sets").Increment();
 }
 
 bool ParseTierName(const char* name, Tier* out) {

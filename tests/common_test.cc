@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -190,46 +188,6 @@ TEST(StringUtilTest, StrJoinRoundTrip) {
 
 TEST(StringUtilTest, FixedCellPadsWidth) {
   EXPECT_EQ(FixedCell(3.14159, 8, 2), "    3.14");
-}
-
-TEST(BenchJsonTest, StringEscapesQuotesBackslashesAndControlChars) {
-  using bench::JsonValue;
-  EXPECT_EQ(JsonValue::String("plain").Dump(), "\"plain\"");
-  EXPECT_EQ(JsonValue::String("a\"b").Dump(), "\"a\\\"b\"");
-  EXPECT_EQ(JsonValue::String("a\\b").Dump(), "\"a\\\\b\"");
-  EXPECT_EQ(JsonValue::String("a\nb\tc\rd").Dump(), "\"a\\nb\\tc\\rd\"");
-  EXPECT_EQ(JsonValue::String("\b\f").Dump(), "\"\\b\\f\"");
-  // Remaining control characters take the \u00XX form (RFC 8259), and
-  // bytes >= 0x20 — including non-ASCII — pass through untouched.
-  EXPECT_EQ(JsonValue::String(std::string("\x01\x1f")).Dump(),
-            "\"\\u0001\\u001f\"");
-  EXPECT_EQ(JsonValue::String("caf\xc3\xa9").Dump(), "\"caf\xc3\xa9\"");
-}
-
-TEST(BenchJsonTest, ObjectAndArrayComposeWithEscapedKeys) {
-  using bench::JsonValue;
-  JsonValue doc = JsonValue::Object()
-                      .Set("k\n1", JsonValue::Int(2))
-                      .Set("arr", JsonValue::Array()
-                                      .Push(JsonValue::Bool(true))
-                                      .Push(JsonValue::Number(0.5)));
-  EXPECT_EQ(doc.Dump(), "{\"k\\n1\":2,\"arr\":[true,0.5]}");
-}
-
-TEST(BenchJsonTest, NonFiniteNumbersSerializeAsNull) {
-  using bench::JsonValue;
-  // RFC 8259 has no NaN/Infinity literals; a bare `nan` would corrupt
-  // the BENCH_*.json artifacts downstream tooling parses.
-  EXPECT_EQ(JsonValue::Number(std::nan("")).Dump(), "null");
-  EXPECT_EQ(JsonValue::Number(HUGE_VAL).Dump(), "null");
-  EXPECT_EQ(JsonValue::Number(-HUGE_VAL).Dump(), "null");
-  EXPECT_EQ(JsonValue::Number(1.5).Dump(), "1.5");
-  JsonValue doc =
-      JsonValue::Object().Set("arr", JsonValue::Array()
-                                         .Push(JsonValue::Number(0.25))
-                                         .Push(JsonValue::Number(
-                                             std::nan(""))));
-  EXPECT_EQ(doc.Dump(), "{\"arr\":[0.25,null]}");
 }
 
 }  // namespace

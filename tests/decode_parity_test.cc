@@ -81,7 +81,7 @@ TEST(DecodeParityTest, StepScoresMatchStepLogitsBitwise) {
 TEST(DecodeParityTest, GreedyRouteIdenticalToLegacy) {
   for (bool pooled : {true, false}) {
     PoolMode mode(pooled);
-    for (int n : {1, 5, 17, 30}) {
+    for (int n : {1, 5, 17, 30, 50, 100}) {
       Fixture f(n, 100 + n);
       const std::vector<int> fast = f.decoder->DecodeGreedy(f.nodes, f.courier);
       const std::vector<int> in_grad_mode =
@@ -98,7 +98,7 @@ TEST(DecodeParityTest, GreedyRouteIdenticalToLegacy) {
 TEST(DecodeParityTest, BeamRouteIdenticalToLegacy) {
   for (bool pooled : {true, false}) {
     PoolMode mode(pooled);
-    for (int n : {5, 17, 30}) {
+    for (int n : {5, 17, 30, 50, 100}) {
       for (int width : {1, 5, 10}) {
         Fixture f(n, 200 + n);
         const std::vector<int> fast =

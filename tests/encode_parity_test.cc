@@ -2,16 +2,16 @@
 // through a per-request EncodePlan must reproduce the legacy autograd
 // encode bit for bit — under pooled AND plain storage, against the legacy
 // path in grad mode AND under NoGradGuard, serial AND concurrent. Also
-// pins full-model Predict parity across the encode_fast_path kill switch,
-// the training path's indifference to the flag (loss value + every
-// parameter gradient bitwise), the grad-mode dispatch back to legacy, and
-// the zero steady-state pool-miss property of a planned encode.
+// pins full-model Predict parity between the fused (no-grad) and legacy
+// (grad-mode) encodes, the grad-mode dispatch back to legacy, and the
+// zero steady-state pool-miss property of a planned encode.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -20,6 +20,8 @@
 #include "core/model.h"
 #include "graph/features.h"
 #include "obs/metrics.h"
+#include "serve/feature_extractor.h"
+#include "serve/replay.h"
 #include "synth/world.h"
 #include "tensor/grad_mode.h"
 #include "tensor/pool.h"
@@ -97,7 +99,7 @@ struct Fixture {
 TEST(EncodeParityTest, FastEncodeMatchesLegacyBitwise) {
   for (bool pooled : {true, false}) {
     PoolMode mode(pooled);
-    for (int n : {1, 2, 5, 17, 30}) {
+    for (int n : {1, 2, 5, 17, 30, 50, 100}) {
       Fixture f(n, 700 + n);
       // Legacy in grad mode builds the full autograd graph — these are
       // the canonical training-path bits.
@@ -174,7 +176,7 @@ synth::DataConfig TinyDataConfig() {
   return dc;
 }
 
-ModelConfig TinyModelConfig(bool fast) {
+ModelConfig TinyModelConfig(int beam_width) {
   ModelConfig c;
   c.seed = 5;
   c.hidden_dim = 16;
@@ -185,55 +187,56 @@ ModelConfig TinyModelConfig(bool fast) {
   c.lstm_hidden_dim = 16;
   c.courier_dim = 8;
   c.pos_enc_dim = 4;
-  c.encode_fast_path = fast;
+  c.beam_width = beam_width;
   return c;
 }
 
-// End-to-end kill-switch parity: two same-seed models differing only in
-// encode_fast_path must emit identical routes and bit-identical arrival
-// times through the multi-level Predict (both levels share one plan).
-TEST(EncodeParityTest, PredictIdenticalAcrossKillSwitch) {
-  const synth::DatasetSplits splits = synth::BuildDataset(TinyDataConfig());
-  ASSERT_GT(splits.train.size(), 4);
-  for (bool pooled : {true, false}) {
-    PoolMode mode(pooled);
-    M2g4Rtp fast_model(TinyModelConfig(true));
-    M2g4Rtp legacy_model(TinyModelConfig(false));
-    NoGradGuard no_grad;
-    for (int i = 0; i < 4; ++i) {
-      const synth::Sample& s = splits.train.samples[i];
-      const RtpPrediction a = fast_model.Predict(s);
-      const RtpPrediction b = legacy_model.Predict(s);
-      EXPECT_EQ(a.location_route, b.location_route) << "sample " << i;
-      EXPECT_EQ(a.aoi_route, b.aoi_route) << "sample " << i;
-      EXPECT_EQ(a.location_times_min, b.location_times_min) << "sample " << i;
-      EXPECT_EQ(a.aoi_times_min, b.aoi_times_min) << "sample " << i;
+/// A request of `n` distinct pending orders: the first sample's courier
+/// and query, with orders pooled from the samples of the same world.
+synth::Sample LargeSample(const synth::BuiltWorld& built, size_t n) {
+  const std::vector<synth::Sample>& samples = built.splits.train.samples;
+  serve::RtpRequest req = serve::RequestFromSample(samples.front());
+  req.pending.clear();
+  std::set<int> ids;
+  for (const synth::Sample& s : samples) {
+    for (const synth::Order& o : serve::RequestFromSample(s).pending) {
+      if (req.pending.size() < n && ids.insert(o.id).second) {
+        req.pending.push_back(o);
+      }
     }
   }
+  return serve::FeatureExtractor(&built.world).BuildSample(req);
 }
 
-// The training path never sees the plan: loss value and every parameter
-// gradient are bitwise-unchanged by the serving flag, so checkpoints
-// trained before and after this refactor are byte-equal at a fixed seed.
-TEST(EncodeParityTest, TrainingLossAndGradsUnaffectedByFlag) {
-  const synth::DatasetSplits splits = synth::BuildDataset(TinyDataConfig());
-  const synth::Sample& s = splits.train.samples.front();
-  const auto run = [&](bool fast) {
-    M2g4Rtp model(TinyModelConfig(fast));
-    Tensor loss = model.ComputeLoss(s);
-    loss.Backward();
-    std::vector<Matrix> grads;
-    for (const auto& [name, p] : model.NamedParameters()) {
-      grads.push_back(p.grad());
+// End-to-end encode parity: one model's Predict under NoGradGuard (the
+// fused encode through one plan shared by both levels) must emit the
+// routes and arrival-time bits of its Predict in grad mode, which
+// dispatches to EncodeLegacy. Greedy and beam-10, on small dataset
+// samples and on an n = 50 request.
+TEST(EncodeParityTest, PredictIdenticalFastAndLegacyEncode) {
+  const synth::BuiltWorld built = synth::BuildWorldAndDataset(TinyDataConfig());
+  ASSERT_GT(built.splits.train.size(), 4);
+  std::vector<synth::Sample> samples(built.splits.train.samples.begin(),
+                                     built.splits.train.samples.begin() + 4);
+  samples.push_back(LargeSample(built, 50));
+  ASSERT_EQ(samples.back().num_locations(), 50);
+  for (bool pooled : {true, false}) {
+    PoolMode mode(pooled);
+    for (int beam_width : {1, 10}) {
+      M2g4Rtp model(TinyModelConfig(beam_width));
+      for (size_t i = 0; i < samples.size(); ++i) {
+        ASSERT_TRUE(GradMode::enabled());
+        const RtpPrediction legacy = model.Predict(samples[i]);
+        NoGradGuard no_grad;
+        const RtpPrediction fast = model.Predict(samples[i]);
+        SCOPED_TRACE(testing::Message() << "sample " << i << " beam "
+                                        << beam_width << " pooled " << pooled);
+        EXPECT_EQ(fast.location_route, legacy.location_route);
+        EXPECT_EQ(fast.aoi_route, legacy.aoi_route);
+        EXPECT_EQ(fast.location_times_min, legacy.location_times_min);
+        EXPECT_EQ(fast.aoi_times_min, legacy.aoi_times_min);
+      }
     }
-    return std::make_pair(loss.value(), std::move(grads));
-  };
-  auto [legacy_loss, legacy_grads] = run(false);
-  auto [fast_loss, fast_grads] = run(true);
-  ExpectBitEqual(fast_loss, legacy_loss, "loss value");
-  ASSERT_EQ(fast_grads.size(), legacy_grads.size());
-  for (size_t i = 0; i < fast_grads.size(); ++i) {
-    ExpectBitEqual(fast_grads[i], legacy_grads[i], "parameter grad");
   }
 }
 

@@ -420,30 +420,23 @@ TEST(EnabledTest, DisabledCountersAndSpansAreNoOps) {
   EXPECT_TRUE(Enabled());
 }
 
-TEST(TraceContextTest, ScopeInstallsAndRestoresNested) {
+TEST(TraceContextTest, ContextIsThreadLocal) {
+  M2G_SKIP_IF_OBS_DISABLED();
+  SetEnabled(true);
   EXPECT_FALSE(CurrentTraceContext().active());
   {
-    TraceContextScope outer(TraceContext{7, 1});
-    EXPECT_EQ(CurrentTraceContext().trace_id, 7u);
-    EXPECT_EQ(CurrentTraceContext().span_id, 1u);
-    {
-      TraceContextScope inner(TraceContext{9, 4});
-      EXPECT_EQ(CurrentTraceContext().trace_id, 9u);
-      EXPECT_EQ(CurrentTraceContext().span_id, 4u);
-    }
-    EXPECT_EQ(CurrentTraceContext().trace_id, 7u);
-    EXPECT_EQ(CurrentTraceContext().span_id, 1u);
+    RequestTrace trace("obs_test.thread_local");
+    ASSERT_TRUE(trace.active());
+    TraceContext seen;
+    std::thread t([&seen] { seen = CurrentTraceContext(); });
+    t.join();
+    EXPECT_FALSE(seen.active());
+    EXPECT_EQ(CurrentTraceContext().trace_id, trace.trace_id());
   }
+  // Finalizing the trace restores this thread's empty context.
   EXPECT_FALSE(CurrentTraceContext().active());
-}
-
-TEST(TraceContextTest, ContextIsThreadLocal) {
-  TraceContextScope scope(TraceContext{11, 2});
-  TraceContext seen;
-  std::thread t([&seen] { seen = CurrentTraceContext(); });
-  t.join();
-  EXPECT_FALSE(seen.active());
-  EXPECT_EQ(CurrentTraceContext().trace_id, 11u);
+  ClearTraceTrees();
+  WideEventSink::Global().Clear();
 }
 
 uint64_t FixedIdSource() { return 4242; }

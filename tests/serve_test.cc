@@ -149,6 +149,42 @@ TEST(RtpServiceTest, OnlinePredictionMatchesOfflinePrediction) {
   EXPECT_EQ(online.prediction.aoi_route, offline.aoi_route);
 }
 
+TEST(RtpServiceTest, PlainHandleSteadyStateIsMallocFree) {
+  // Once a serving thread's pool is warm, the plain Handle path takes
+  // every tensor buffer from the free lists: zero pool misses over
+  // repeated passes of a mixed-size request set, and at least 5x fewer
+  // tensor heap allocations per request than with the pool off.
+  ServeFixture* f = Fixture();
+  RtpService service(&f->built.world, f->model.get());
+  const auto& samples = f->built.splits.test.samples;
+  std::vector<RtpRequest> requests;
+  for (size_t i = 0; i < samples.size() && i < 8; ++i) {
+    requests.push_back(f->RequestFromSample(samples[i]));
+  }
+  ASSERT_GE(requests.size(), 2u);
+  constexpr int kPasses = 2;
+  const auto serve = [&](bool pooled) {
+    TensorPool::set_enabled(pooled);
+    for (const RtpRequest& req : requests) service.Handle(req);  // warm-up
+    TensorPool::ResetThreadStats();
+    for (int p = 0; p < kPasses; ++p) {
+      for (const RtpRequest& req : requests) service.Handle(req);
+    }
+    const TensorPool::Stats stats = TensorPool::ThreadStats();
+    TensorPool::set_enabled(true);
+    return stats;
+  };
+  const TensorPool::Stats pooled = serve(true);
+  const TensorPool::Stats plain = serve(false);
+  EXPECT_EQ(pooled.pool_misses, 0u);
+  EXPECT_GT(pooled.pool_hits, 0u);
+  ASSERT_GT(plain.heap_allocs, 0u);
+  EXPECT_GE(plain.heap_allocs, 5 * pooled.heap_allocs)
+      << "pooled " << pooled.heap_allocs << " vs plain " << plain.heap_allocs
+      << " tensor heap allocations over " << kPasses * requests.size()
+      << " requests";
+}
+
 TEST(OrderSortingServiceTest, RanksEveryPendingOrderOnce) {
   ServeFixture* f = Fixture();
   RtpService service(&f->built.world, f->model.get());
@@ -591,6 +627,11 @@ TEST(TelemetryTest, ServingExportsCoverEveryStageAndCounter) {
   EXPECT_EQ(replay.responses.size(), requests.size());
   EXPECT_FALSE(eta.Estimate(requests.front()).empty());
   EXPECT_EQ(eta.requests_served(), 1);
+  // One batched request, so the batch histograms exist too.
+  ServingConfig batched;
+  batched.batching_enabled = true;
+  RtpService batched_service(&f->built.world, f->model.get(), batched);
+  batched_service.Handle(requests.front());
 
   const std::string prom = obs::ExportPrometheus();
   for (const char* needle :
@@ -599,6 +640,9 @@ TEST(TelemetryTest, ServingExportsCoverEveryStageAndCounter) {
         "m2g_serve_stage_encode_ms_bucket",
         "m2g_serve_stage_route_decode_ms_bucket",
         "m2g_serve_stage_eta_head_ms_bucket",
+        "m2g_serve_request_ms_bucket",
+        "m2g_serve_batch_queue_wait_ms_bucket",
+        "m2g_serve_batch_size_bucket",
         "m2g_serve_rtp_requests_total", "m2g_serve_eta_requests_total",
         "m2g_pool_arena_hits", "m2g_pool_arena_misses",
         "m2g_threadpool_queue_depth",
@@ -607,8 +651,9 @@ TEST(TelemetryTest, ServingExportsCoverEveryStageAndCounter) {
   }
   const std::string json = obs::ExportJson();
   for (const char* needle :
-       {"\"serve.request.ms\"", "\"serve.eta.estimate.ms\"", "\"p50\"",
-        "\"p95\"", "\"p99\""}) {
+       {"\"serve.request.ms\"", "\"serve.eta.estimate.ms\"",
+        "\"serve.batch.queue_wait.ms\"", "\"p50\"", "\"p95\"",
+        "\"p99\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
 
@@ -620,6 +665,13 @@ TEST(TelemetryTest, ServingExportsCoverEveryStageAndCounter) {
 #ifndef M2G_OBS_DISABLED
   // The registry is process-wide, so earlier tests may have served too.
   EXPECT_GE(request_ms->count, requests.size());
+  // Serving retained request trace trees and recorded wide events,
+  // which export their own counter (compiled out with the events).
+  EXPECT_FALSE(obs::RecentTraceTrees().empty());
+  EXPECT_GT(obs::WideEventSink::Global().recorded(), 0u);
+  EXPECT_NE(prom.find("m2g_obs_wide_events_recorded_total"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"obs.wide_events.recorded\""), std::string::npos);
 #endif
   EXPECT_LE(request_ms->Quantile(0.50), request_ms->Quantile(0.95));
   EXPECT_LE(request_ms->Quantile(0.95), request_ms->Quantile(0.99));
@@ -633,6 +685,79 @@ TEST(TelemetryTest, ServingExportsCoverEveryStageAndCounter) {
 #else
 #define M2G_SKIP_IF_OBS_DISABLED() (void)0
 #endif
+
+TEST(ModelRegistryTest, WideEventsPairVersionWithItsBeamWidthUnderSwap) {
+  // A wide event's model_version and beam_width must both come from the
+  // snapshot that served the request. Alternate two models with beam
+  // widths 1 and 3 under 4-thread load on each serving path (plain,
+  // batched, encode sessions): every event must pair a version with the
+  // beam width of the model published as that version.
+  M2G_SKIP_IF_OBS_DISABLED();
+  ServeFixture* f = Fixture();
+  core::ModelConfig wide_config = f->model->config();
+  ASSERT_EQ(wide_config.beam_width, 1);
+  wide_config.beam_width = 3;
+  const std::shared_ptr<const core::M2g4Rtp> narrow(
+      f->model.get(), [](const core::M2g4Rtp*) {});
+  const std::shared_ptr<const core::M2g4Rtp> wide =
+      std::make_shared<core::M2g4Rtp>(wide_config);
+  const auto& samples = f->built.splits.test.samples;
+  std::vector<RtpRequest> requests;
+  for (size_t i = 0; i < samples.size() && i < 4; ++i) {
+    requests.push_back(f->RequestFromSample(samples[i]));
+  }
+  ASSERT_FALSE(requests.empty());
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  obs::SetEnabled(true);
+  obs::WideEventOptions options;
+  options.ring_capacity = kThreads * kRounds * requests.size();
+  obs::WideEventSink::Global().Configure(options);
+  for (const char* path : {"plain", "batched", "sessions"}) {
+    SCOPED_TRACE(path);
+    ServingConfig config;
+    config.batching_enabled = std::string(path) == "batched";
+    config.encode_sessions.enabled = std::string(path) == "sessions";
+    // Odd versions serve beam width 1, even versions beam width 3.
+    ModelRegistry registry(narrow);
+    RtpService service(&f->built.world, &registry, config);
+    obs::WideEventSink::Global().Clear();
+
+    std::barrier sync(kThreads + 1);
+    std::atomic<int> finished{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        sync.arrive_and_wait();
+        for (int r = 0; r < kRounds; ++r) {
+          for (const RtpRequest& req : requests) service.Handle(req);
+        }
+        finished.fetch_add(1);
+      });
+    }
+    sync.arrive_and_wait();
+    int publishes = 0;
+    while (finished.load() < kThreads) {
+      registry.Publish(publishes % 2 == 0 ? wide : narrow);
+      ++publishes;
+      std::this_thread::yield();
+    }
+    for (std::thread& th : threads) th.join();
+
+    const std::vector<obs::WideEvent> events =
+        obs::WideEventSink::Global().Recent();
+    ASSERT_EQ(events.size(), kThreads * kRounds * requests.size());
+    for (const obs::WideEvent& e : events) {
+      ASSERT_GE(e.model_version, 1);
+      ASSERT_LE(e.model_version, 1 + publishes);
+      EXPECT_EQ(e.beam_width, e.model_version % 2 == 1 ? 1 : 3)
+          << "version " << e.model_version;
+    }
+  }
+  obs::WideEventSink::Global().Configure(obs::WideEventOptions{});
+  obs::WideEventSink::Global().Clear();
+}
 
 TEST(BatchTracingTest, BatchedMembersRecordOwnStagesOnOwnThreads) {
   // A request served in a batch of size > 1 must finalize into a span

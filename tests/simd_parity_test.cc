@@ -335,21 +335,6 @@ TEST_F(SimdParityTest, TierNamesParseAndClamp) {
   EXPECT_STREQ(simd::TierName(simd::Tier::kAvx2), "avx2");
 }
 
-TEST_F(SimdParityTest, ModelConfigKillSwitchForcesScalarTier) {
-  core::ModelConfig config;
-  config.hidden_dim = 16;
-  config.num_heads = 2;
-  config.num_layers = 1;
-  config.aoi_id_embed_dim = 4;
-  config.aoi_type_embed_dim = 2;
-  config.lstm_hidden_dim = 16;
-  config.courier_dim = 8;
-  config.pos_enc_dim = 4;
-  config.simd_kernels = false;
-  core::M2g4Rtp model(config);
-  EXPECT_EQ(simd::ActiveTier(), simd::Tier::kScalar);
-}
-
 TEST_F(SimdParityTest, FixedSeedTrainingIsTierInvariant) {
   // The end-to-end guarantee the per-kernel pins add up to: a short
   // fixed-seed fit lands on byte-identical parameters whether the
