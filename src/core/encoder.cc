@@ -1,9 +1,63 @@
 #include "core/encoder.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/string_util.h"
+#include "core/incremental_encode.h"
 #include "tensor/grad_mode.h"
 
 namespace m2g::core {
+namespace {
+
+/// Padded session-cache capacity for n nodes: at least 16, so tiny graphs
+/// do not re-warm on every arrival, and doubling, so an arrival stream
+/// re-warms O(log n) times. Capacity-change fallbacks are full encodes;
+/// the slack's bytes are bounded by the session store's LRU budget.
+int GrownCapacity(int n) { return std::max(16, 2 * n); }
+
+/// (Re)sizes `cache` for n nodes through `layers`, zero-initialized so no
+/// path can observe uninitialized floats and bytes() is exact.
+void FitCache(const std::vector<std::unique_ptr<GatELayer>>& layers, int n,
+              int d, LevelEncodeCache* cache) {
+  const int num_layers = static_cast<int>(layers.size());
+  const int heads = layers.front()->num_heads();
+  if (cache->cap >= n && cache->hidden == d && cache->layers == num_layers &&
+      cache->heads == heads) {
+    return;
+  }
+  cache->Reset();
+  cache->cap = GrownCapacity(n);
+  cache->hidden = d;
+  cache->layers = num_layers;
+  cache->heads = heads;
+  const int pairs = cache->cap * cache->cap;
+  for (int l = 0; l <= num_layers; ++l) {
+    cache->h.emplace_back(cache->cap, d);
+    cache->z.emplace_back(pairs, d);
+  }
+  for (const auto& layer : layers) {
+    for (int p = 0; p < heads; ++p) {
+      cache->ew3.emplace_back(pairs, layer->head_dim());
+      cache->se.emplace_back(pairs, 1);
+    }
+  }
+}
+
+/// Copies layer l's running representations into the cache, edges
+/// re-laid from dense (i*n + j) rows to padded (i*cap + j) rows.
+void StoreLayer(const Matrix& h, const Matrix& z, int n, int l,
+                LevelEncodeCache* cache) {
+  const size_t row = sizeof(float) * static_cast<size_t>(n) * cache->hidden;
+  std::memcpy(cache->h[l].data(), h.data(), row);
+  for (int i = 0; i < n; ++i) {
+    std::memcpy(cache->z[l].data() +
+                    static_cast<size_t>(i) * cache->cap * cache->hidden,
+                z.data() + static_cast<size_t>(i) * n * cache->hidden, row);
+  }
+}
+
+}  // namespace
 
 LevelEncoder::LevelEncoder(const ModelConfig& config, int continuous_dim,
                            Rng* rng)
@@ -57,10 +111,12 @@ EncodedLevel LevelEncoder::EncodeLegacy(const graph::LevelGraph& level,
 
 EncodedLevel LevelEncoder::EncodeFast(const graph::LevelGraph& level,
                                       const Tensor& global_embed,
-                                      EncodePlan* plan) const {
+                                      EncodePlan* plan,
+                                      LevelEncodeCache* cache) const {
   M2G_CHECK(use_graph_);
   M2G_CHECK(!GradMode::enabled());
-  M2G_CHECK_GE(plan->max_nodes, level.n);
+  const int n = level.n;
+  M2G_CHECK_GE(plan->max_nodes, n);
   // Embeddings and the input projection stay on the op layer: under
   // no-grad they already fold to constants, and they are O(n d^2) —
   // fusing them would not move the n^2 d^2 needle the GAT stack does.
@@ -68,12 +124,27 @@ EncodedLevel LevelEncoder::EncodeFast(const graph::LevelGraph& level,
   // draw from the pool and become the returned tensors' storage.
   Tensor nodes = feature_embed_->EmbedNodes(level);
   nodes = input_proj_->Forward(
-      ConcatCols(nodes, BroadcastRows(global_embed, level.n)));
+      ConcatCols(nodes, BroadcastRows(global_embed, n)));
   Tensor edges = feature_embed_->EmbedEdges(level);
   Matrix h = nodes.value();
   Matrix z = edges.value();
-  for (const auto& layer : layers_) {
-    layer->ForwardFast(h, z, level.adjacency, plan);
+  GatECapture capture;
+  if (cache != nullptr) {
+    FitCache(layers_, n, plan->hidden_dim, cache);
+    StoreLayer(h, z, n, 0, cache);
+    capture.block = cache->cap;
+  }
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    if (cache != nullptr) {
+      capture.ew3.clear();
+      capture.se.clear();
+      for (int p = 0; p < cache->heads; ++p) {
+        capture.ew3.push_back(cache->ew3[l * cache->heads + p].data());
+        capture.se.push_back(cache->se[l * cache->heads + p].data());
+      }
+    }
+    layers_[l]->ForwardFast(h, z, level.adjacency, plan,
+                            cache != nullptr ? &capture : nullptr);
     // Residuals in place: the same elementwise ascending order as the
     // legacy Add's copy + AddInPlace, minus the copies.
     float* hd = h.data();
@@ -82,7 +153,9 @@ EncodedLevel LevelEncoder::EncodeFast(const graph::LevelGraph& level,
     float* zd = z.data();
     const float* eo = plan->edge_out.data();
     for (size_t t = 0, nnd = z.size(); t < nnd; ++t) zd[t] += eo[t];
+    if (cache != nullptr) StoreLayer(h, z, n, static_cast<int>(l) + 1, cache);
   }
+  if (cache != nullptr) cache->n = n;
   return {Tensor::Constant(std::move(h)), Tensor::Constant(std::move(z))};
 }
 

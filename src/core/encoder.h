@@ -2,9 +2,8 @@
 #define M2G_CORE_ENCODER_H_
 
 #include <memory>
-#include <vector>
-
 #include <optional>
+#include <vector>
 
 #include "core/feature_embed.h"
 #include "core/gat_e.h"
@@ -53,22 +52,25 @@ class LevelEncoder : public nn::Module {
   /// Fused no-grad fast path: embeddings and the input projection run
   /// through the (constant-folded) ops, then every GAT-e layer through
   /// GatELayer::ForwardFast with in-place residuals on pool-backed
-  /// buffers — zero autograd nodes and zero (n^2, d) op temporaries.
+  /// buffers: zero autograd nodes and zero (n^2, d) op temporaries.
   /// Requires GradMode disabled and the GAT-e variant.
-  EncodedLevel EncodeFast(const graph::LevelGraph& level,
-                          const Tensor& global_embed,
-                          EncodePlan* plan) const;
-
-  /// EncodeFast that also warms an encode-session cache: per-layer node
+  ///
+  /// With a `cache`, the same forward also warms an encode session: the
+  /// cache is sized (grown geometrically) and receives every layer's node
   /// and edge representations plus the per-head z*W3 / s_edge
-  /// intermediates are snapshotted into `cache` (sized/grown here) as
-  /// the forward runs. The returned encodings are bitwise-identical to
-  /// EncodeFast — the cache writes are pure copies. Defined in
-  /// core/incremental_encode.cc.
+  /// intermediates. The returned encodings do not depend on `cache`.
+  EncodedLevel EncodeFast(const graph::LevelGraph& level,
+                          const Tensor& global_embed, EncodePlan* plan,
+                          LevelEncodeCache* cache = nullptr) const;
+
+  /// EncodeFast(level, global_embed, plan, cache). Kept only because the
+  /// benchmark harness (perfbench/) calls it by this name.
   EncodedLevel EncodeFastCached(const graph::LevelGraph& level,
                                 const Tensor& global_embed,
                                 EncodePlan* plan,
-                                LevelEncodeCache* cache) const;
+                                LevelEncodeCache* cache) const {
+    return EncodeFast(level, global_embed, plan, cache);
+  }
 
   /// Incremental re-encode against a warm cache: `delta` describes how
   /// `level` evolved from `prev` (the graph `cache` encodes), and only

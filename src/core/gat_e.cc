@@ -141,6 +141,102 @@ GatEOutput GatELayer::Forward(const Tensor& nodes, const Tensor& edges,
   return out;
 }
 
+// The row kernels below are the whole fused layer: ForwardFast runs them
+// over every row and pair, ForwardFastDelta over its dirty sets. Keeping
+// one copy of each is what keeps the two paths byte-identical. They are
+// inline so the per-pair calls cost nothing in the n^2 loops.
+
+inline void GatELayer::ProjectNodes(const Head& head, const float* nodes,
+                                    int n, EncodePlan* plan) const {
+  const int d = hidden_dim_;
+  const int dh = head_dim_;
+  // Eq. 20/22 projections into the plan's per-head buffers. The
+  // (1,)-wide products take AccumulateRowMatMul's branchy path, the same
+  // path MatMulRaw picks for them on the autograd graph.
+  MatMulInto(nodes, n, d, head.w1.value().data(), dh, plan->wh.data());
+  MatMulInto(plan->wh.data(), n, dh, head.av_src.value().data(), 1,
+             plan->s_src.data());
+  MatMulInto(plan->wh.data(), n, dh, head.av_dst.value().data(), 1,
+             plan->s_dst.data());
+  MatMulInto(nodes, n, d, head.w2.value().data(), dh, plan->msg.data());
+  // Eq. 23 node terms, hoisted out of the n^2 edge loop: the autograd
+  // MatMul(GatherRows(nodes, idx), W) accumulates every gathered row from
+  // zero, so its row (i, j) is bit-identical to row i of nodes * W.
+  MatMulInto(nodes, n, d, head.w4.value().data(), dh, plan->nw4.data());
+  MatMulInto(nodes, n, d, head.w5.value().data(), dh, plan->nw5.data());
+}
+
+inline float* GatELayer::HeadSlot(int p, float* out_row,
+                                  EncodePlan* plan) const {
+  // Hidden layers write head p's columns of the concat (Eq. 24/25) in
+  // place. The last layer averages full-width heads: head 0 seeds the
+  // output row and later heads go through the (1, d) scratch and add in,
+  // the sequential elementwise adds of the autograd epilogue (Eq. 26).
+  if (is_last_) return p > 0 ? plan->row.data() : out_row;
+  return out_row + p * head_dim_;
+}
+
+inline void GatELayer::AttentionRow(int p, int i, const float* s_edge_row,
+                                    const std::vector<bool>& adjacency,
+                                    int n, EncodePlan* plan) const {
+  // Logits -> masked softmax -> aggregation, fused (Eq. 20-22), with no
+  // (1, n) or (1, dh) temporaries.
+  const int dh = head_dim_;
+  GatLogitsRow(plan->s_dst.data(), s_edge_row, plan->s_src.data()[i],
+               leaky_slope_, n, plan->logits.data());
+  MaskedSoftmaxRowRaw(plan->logits.data(), adjacency,
+                      static_cast<size_t>(i) * n, n, plan->alpha.data());
+  float* out = plan->node_out.data() + static_cast<size_t>(i) * hidden_dim_;
+  float* dst = HeadSlot(p, out, plan);
+  std::fill(dst, dst + dh, 0.0f);
+  AccumulateRowMatMul(plan->alpha.data(), n, plan->msg.data(), dh, dst);
+  if (!is_last_) {
+    for (int c = 0; c < dh; ++c) dst[c] = dst[c] > 0.0f ? dst[c] : 0.0f;
+  } else if (p > 0) {
+    for (int c = 0; c < dh; ++c) out[c] += dst[c];
+  }
+}
+
+inline void GatELayer::EdgePair(int p, const float* ew3, int i, int j,
+                                size_t r, EncodePlan* plan) const {
+  // Eq. 23/25: z' = ReLU(z W3 + (nw4_i + nw5_j)), keeping the autograd
+  // association order. `ew3` may alias this pair's head slot.
+  const int dh = head_dim_;
+  const float* nw4_row = plan->nw4.data() + static_cast<size_t>(i) * dh;
+  const float* nw5_row = plan->nw5.data() + static_cast<size_t>(j) * dh;
+  float* out = plan->edge_out.data() + r * hidden_dim_;
+  float* dst = HeadSlot(p, out, plan);
+  for (int c = 0; c < dh; ++c) {
+    const float v = ew3[c] + (nw4_row[c] + nw5_row[c]);
+    dst[c] = v > 0.0f ? v : 0.0f;
+  }
+  if (is_last_ && p > 0) {
+    for (int c = 0; c < dh; ++c) out[c] += dst[c];
+  }
+}
+
+inline void GatELayer::MeanOverHeads(int n, const unsigned char* rows,
+                                     const unsigned char* pairs,
+                                     EncodePlan* plan) const {
+  // Eq. 26: scale the head sums by 1/P, then the delayed node ReLU (edges
+  // average without an extra activation). Null masks select everything.
+  const int d = hidden_dim_;
+  const float inv = 1.0f / static_cast<float>(num_heads_);
+  for (int i = 0; i < n; ++i) {
+    if (rows != nullptr && !rows[i]) continue;
+    float* row = plan->node_out.data() + static_cast<size_t>(i) * d;
+    for (int c = 0; c < d; ++c) {
+      const float v = row[c] * inv;
+      row[c] = v > 0.0f ? v : 0.0f;
+    }
+  }
+  for (size_t r = 0, nn = static_cast<size_t>(n) * n; r < nn; ++r) {
+    if (pairs != nullptr && !pairs[r]) continue;
+    float* row = plan->edge_out.data() + r * d;
+    for (int c = 0; c < d; ++c) row[c] *= inv;
+  }
+}
+
 void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
                             const std::vector<bool>& adjacency,
                             EncodePlan* plan, GatECapture* capture) const {
@@ -156,118 +252,40 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
   M2G_CHECK_GE(plan->max_nodes, n);
   FastLayerCounter().Increment();
 
-  // All the matmul/logit kernels below dispatch through the runtime
-  // SIMD tier (tensor/simd.h) — bitwise-identical on every tier, so
-  // nothing here depends on which one the host selected.
-  float* node_out = plan->node_out.data();
-  float* edge_out = plan->edge_out.data();
-  float* wh = plan->wh.data();
-  float* s_src = plan->s_src.data();
-  float* s_dst = plan->s_dst.data();
+  // All the matmul/logit kernels dispatch through the runtime SIMD tier
+  // (tensor/simd.h), bitwise-identical on every tier.
   float* s_edge = plan->s_edge.data();
-  float* msg = plan->msg.data();
-  float* nw4 = plan->nw4.data();
-  float* nw5 = plan->nw5.data();
-
   for (int p = 0; p < num_heads_; ++p) {
     const Head& head = heads_[p];
-    // Eq. 20/22/23 projections into the plan's per-head buffers. The
-    // (1,)-wide products take AccumulateRowMatMul's branchy path — the
-    // same path MatMulRaw picked for them on the legacy graph.
-    MatMulInto(nodes.data(), n, d, head.w1.value().data(), dh, wh);
-    MatMulInto(wh, n, dh, head.av_src.value().data(), 1, s_src);
-    MatMulInto(wh, n, dh, head.av_dst.value().data(), 1, s_dst);
     MatMulInto(edges.data(), n * n, d, head.ae.value().data(), 1, s_edge);
-    if (capture != nullptr) {
-      // Donate this head's s_edge column to the session cache, re-laid
-      // from dense (i*n + j) rows to padded (i*block + j) rows.
-      for (int i = 0; i < n; ++i) {
-        std::copy(s_edge + static_cast<size_t>(i) * n,
-                  s_edge + static_cast<size_t>(i) * n + n,
+    ProjectNodes(head, nodes.data(), n, plan);
+    for (int i = 0; i < n; ++i) {
+      const float* row = s_edge + static_cast<size_t>(i) * n;
+      if (capture != nullptr) {
+        // Donate s_edge to the session cache in its padded layout.
+        std::copy(row, row + n,
                   capture->se[p] + static_cast<size_t>(i) * capture->block);
       }
+      AttentionRow(p, i, row, adjacency, n, plan);
     }
-    MatMulInto(nodes.data(), n, d, head.w2.value().data(), dh, msg);
-    // Eq. 23 node terms, hoisted out of the n^2 edge loop: the legacy
-    // MatMul(GatherRows(nodes, idx), W) accumulates every gathered row
-    // from zero, so its row (i, j) is bit-identical to row i of
-    // nodes * W — two (n, dh) products replace two (n^2, dh) ones.
-    MatMulInto(nodes.data(), n, d, head.w4.value().data(), dh, nw4);
-    MatMulInto(nodes.data(), n, d, head.w5.value().data(), dh, nw5);
-
-    const bool last = is_last_;
-    // Hidden layers write head p's columns of the concat epilogue
-    // (Eq. 24/25) in place; the last layer averages full-width heads, so
-    // head 0 seeds the accumulator and later heads add row by row — the
-    // sequential elementwise adds of the legacy epilogue (Eq. 26).
-    const int col0 = last ? 0 : p * dh;
-
-    // Attention rows: logits -> masked softmax -> aggregation, fused
-    // (Eq. 20-22), no (1, n) or (1, dh) temporaries.
+    // z_ij * W3 lands in the pair's head slot, or in the session cache
+    // row when warming one, and EdgePair finishes it from there.
     for (int i = 0; i < n; ++i) {
-      const size_t base = static_cast<size_t>(i) * n;
-      GatLogitsRow(s_dst, s_edge + base, s_src[i], leaky_slope_, n,
-                   plan->logits.data());
-      MaskedSoftmaxRowRaw(plan->logits.data(), adjacency, base, n,
-                          plan->alpha.data());
-      float* dst = (last && p > 0)
-                       ? plan->row.data()
-                       : node_out + static_cast<size_t>(i) * d + col0;
-      std::fill(dst, dst + dh, 0.0f);
-      AccumulateRowMatMul(plan->alpha.data(), n, msg, dh, dst);
-      if (!last) {
-        for (int c = 0; c < dh; ++c) {
-          dst[c] = dst[c] > 0.0f ? dst[c] : 0.0f;
-        }
-      } else if (p > 0) {
-        float* acc = node_out + static_cast<size_t>(i) * d;
-        for (int c = 0; c < dh; ++c) acc[c] += dst[c];
-      }
-    }
-
-    // Edge updates (Eq. 23/25): z' = ReLU(z W3 + (nw4_i + nw5_j)),
-    // keeping the legacy association order ew3 + (w4-term + w5-term).
-    for (int i = 0; i < n; ++i) {
-      const float* nw4_row = nw4 + static_cast<size_t>(i) * dh;
       for (int j = 0; j < n; ++j) {
         const size_t r = static_cast<size_t>(i) * n + j;
-        const float* nw5_row = nw5 + static_cast<size_t>(j) * dh;
-        float* dst =
-            (last && p > 0) ? plan->row.data() : edge_out + r * d + col0;
-        std::fill(dst, dst + dh, 0.0f);
+        float* ew3 =
+            capture != nullptr
+                ? capture->ew3[p] +
+                      (static_cast<size_t>(i) * capture->block + j) * dh
+                : HeadSlot(p, plan->edge_out.data() + r * d, plan);
+        std::fill(ew3, ew3 + dh, 0.0f);
         AccumulateRowMatMul(edges.data() + r * d, d, head.w3.value().data(),
-                            dh, dst);
-        if (capture != nullptr) {
-          // dst holds exactly z_ij * W3 here (pre-epilogue): the value
-          // the delta path caches per (layer, head, pair).
-          std::copy(dst, dst + dh,
-                    capture->ew3[p] +
-                        (static_cast<size_t>(i) * capture->block + j) * dh);
-        }
-        for (int c = 0; c < dh; ++c) {
-          const float t = nw4_row[c] + nw5_row[c];
-          const float v = dst[c] + t;
-          dst[c] = v > 0.0f ? v : 0.0f;
-        }
-        if (last && p > 0) {
-          float* acc = edge_out + r * d;
-          for (int c = 0; c < dh; ++c) acc[c] += dst[c];
-        }
+                            dh, ew3);
+        EdgePair(p, ew3, i, j, r, plan);
       }
     }
   }
-
-  if (is_last_) {
-    // Eq. 26 epilogue: scale the head sums by 1/P, then the delayed node
-    // ReLU (edges average without an extra activation).
-    const float inv = 1.0f / static_cast<float>(num_heads_);
-    for (size_t t = 0, end = static_cast<size_t>(n) * d; t < end; ++t) {
-      const float v = node_out[t] * inv;
-      node_out[t] = v > 0.0f ? v : 0.0f;
-    }
-    const size_t nnd = static_cast<size_t>(n) * n * d;
-    for (size_t t = 0; t < nnd; ++t) edge_out[t] *= inv;
-  }
+  if (is_last_) MeanOverHeads(n, nullptr, nullptr, plan);
 }
 
 void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
@@ -319,128 +337,57 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
     }
   }
 
-  const bool last = is_last_;
-  float* node_out = plan->node_out.data();
-  float* edge_out = plan->edge_out.data();
   for (int p = 0; p < num_heads_; ++p) {
     const Head& head = heads_[p];
-    // Per-node projections are recomputed in full: they are O(n d dh) —
-    // noise next to the n^2 terms — and a full MatMulInto reproduces the
-    // warm forward's bits for clean rows for free.
-    MatMulInto(item->h_in, n, d, head.w1.value().data(), dh,
-               plan->wh.data());
-    MatMulInto(plan->wh.data(), n, dh, head.av_src.value().data(), 1,
-               plan->s_src.data());
-    MatMulInto(plan->wh.data(), n, dh, head.av_dst.value().data(), 1,
-               plan->s_dst.data());
-    MatMulInto(item->h_in, n, d, head.w2.value().data(), dh,
-               plan->msg.data());
-    MatMulInto(item->h_in, n, d, head.w4.value().data(), dh,
-               plan->nw4.data());
-    MatMulInto(item->h_in, n, d, head.w5.value().data(), dh,
-               plan->nw5.data());
-    const float* s_src = plan->s_src.data();
-    const float* s_dst = plan->s_dst.data();
-    const float* msg = plan->msg.data();
-    const float* nw4 = plan->nw4.data();
-    const float* nw5 = plan->nw5.data();
-
-    // s_edge updates for pairs whose z_l changed (one row of the batch
-    // kernel: zeroed accumulator + AccumulateRowMatMul — MatMulInto's
-    // exact bits for that row).
+    // Per-node projections are recomputed in full: they are O(n d dh),
+    // noise next to the n^2 terms, and reproduce the warm forward's bits
+    // for clean rows for free.
+    ProjectNodes(head, item->h_in, n, plan);
     float* se = item->se[p];
+    float* ew3 = item->ew3[p];
     for (int i = 0; i < n; ++i) {
       const size_t base = static_cast<size_t>(i) * n;
       const size_t pbase = static_cast<size_t>(i) * block;
       for (int j = 0; j < n; ++j) {
         if (!item->pair_dirty[base + j]) continue;
-        float* dst = se + pbase + j;
-        *dst = 0.0f;
-        AccumulateRowMatMul(item->z_in + (pbase + j) * d, d,
-                            head.ae.value().data(), 1, dst);
+        // A pair whose z changed refreshes its cached s_edge and z * W3
+        // (zeroed accumulator + AccumulateRowMatMul: MatMulInto's exact
+        // bits for that row).
+        const float* z = item->z_in + (pbase + j) * d;
+        se[pbase + j] = 0.0f;
+        AccumulateRowMatMul(z, d, head.ae.value().data(), 1, se + pbase + j);
+        float* e3 = ew3 + (pbase + j) * dh;
+        std::fill(e3, e3 + dh, 0.0f);
+        AccumulateRowMatMul(z, d, head.w3.value().data(), dh, e3);
       }
     }
-
-    const int col0 = last ? 0 : p * dh;
-    // Attention rows (Eq. 20-22), only the recompute set; cached rows of
-    // h_out are left untouched.
+    // Attention rows and edge pairs, only the recompute sets; cached
+    // outputs are left untouched. Pairs with a clean z but a dirty
+    // endpoint reuse the cached z * W3 and pay only the epilogue.
     for (int i = 0; i < n; ++i) {
-      if (!row_rec[i]) continue;
-      const size_t base = static_cast<size_t>(i) * n;
-      GatLogitsRow(s_dst, se + static_cast<size_t>(i) * block, s_src[i],
-                   leaky_slope_, n, plan->logits.data());
-      MaskedSoftmaxRowRaw(plan->logits.data(), adjacency, base, n,
-                          plan->alpha.data());
-      float* dst = (last && p > 0)
-                       ? plan->row.data()
-                       : node_out + static_cast<size_t>(i) * d + col0;
-      std::fill(dst, dst + dh, 0.0f);
-      AccumulateRowMatMul(plan->alpha.data(), n, msg, dh, dst);
-      if (!last) {
-        for (int c = 0; c < dh; ++c) {
-          dst[c] = dst[c] > 0.0f ? dst[c] : 0.0f;
-        }
-      } else if (p > 0) {
-        float* acc = node_out + static_cast<size_t>(i) * d;
-        for (int c = 0; c < dh; ++c) acc[c] += dst[c];
+      if (row_rec[i]) {
+        AttentionRow(p, i, se + static_cast<size_t>(i) * block, adjacency, n,
+                     plan);
       }
     }
-
-    // Edge updates (Eq. 23/25), only the recompute set. Pairs with a
-    // clean z but a dirty endpoint reuse the cached z*W3 product and pay
-    // only the dh-wide epilogue.
     for (int i = 0; i < n; ++i) {
-      const float* nw4_row = nw4 + static_cast<size_t>(i) * dh;
-      const size_t base = static_cast<size_t>(i) * n;
-      const size_t pbase = static_cast<size_t>(i) * block;
       for (int j = 0; j < n; ++j) {
-        if (!pair_rec[base + j]) continue;
-        const size_t r = base + j;
-        float* e3 = item->ew3[p] + (pbase + j) * dh;
-        if (item->pair_dirty[r]) {
-          std::fill(e3, e3 + dh, 0.0f);
-          AccumulateRowMatMul(item->z_in + (pbase + j) * d, d,
-                              head.w3.value().data(), dh, e3);
-        }
-        const float* nw5_row = nw5 + static_cast<size_t>(j) * dh;
-        float* dst =
-            (last && p > 0) ? plan->row.data() : edge_out + r * d + col0;
-        for (int c = 0; c < dh; ++c) {
-          const float t = nw4_row[c] + nw5_row[c];
-          const float v = e3[c] + t;
-          dst[c] = v > 0.0f ? v : 0.0f;
-        }
-        if (last && p > 0) {
-          float* acc = edge_out + r * d;
-          for (int c = 0; c < dh; ++c) acc[c] += dst[c];
-        }
+        const size_t r = static_cast<size_t>(i) * n + j;
+        if (!pair_rec[r]) continue;
+        EdgePair(p, ew3 + (static_cast<size_t>(i) * block + j) * dh, i, j, r,
+                 plan);
       }
     }
   }
-
-  if (last) {
-    // Eq. 26 epilogue over the recomputed rows/pairs only.
-    const float inv = 1.0f / static_cast<float>(num_heads_);
-    for (int i = 0; i < n; ++i) {
-      if (!row_rec[i]) continue;
-      float* row = node_out + static_cast<size_t>(i) * d;
-      for (int c = 0; c < d; ++c) {
-        const float v = row[c] * inv;
-        row[c] = v > 0.0f ? v : 0.0f;
-      }
-    }
-    for (size_t r = 0, nn = static_cast<size_t>(n) * n; r < nn; ++r) {
-      if (!pair_rec[r]) continue;
-      float* row = edge_out + r * d;
-      for (int c = 0; c < d; ++c) row[c] *= inv;
-    }
-  }
+  if (is_last_) MeanOverHeads(n, row_rec.data(), pair_rec.data(), plan);
 
   // Residual + write-back: h_{l+1}[i] = h_l[i] + node_out[i] (the same
   // per-element addition order as the full path's in-place residual).
   // Each recomputed row is compared against its cached successor before
   // overwrite so the next layer's dirty set stays tight; rows with no
   // history (fresh nodes) are dirty by definition.
+  const float* node_out = plan->node_out.data();
+  const float* edge_out = plan->edge_out.data();
   float* scratch = plan->row.data();  // (1, d); free after the head loop
   for (int i = 0; i < n; ++i) {
     if (!row_rec[i]) {

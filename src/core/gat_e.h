@@ -21,8 +21,8 @@ struct GatEOutput {
 /// donates to an encode-session cache (core/incremental_encode): the
 /// Eq. 23 z*W3 product and the Eq. 20 s_edge column, per head, stored in
 /// row blocks of `block` entries so pair (i, j) lands at row i*block + j
-/// regardless of n. Capturing is a pure copy of values ForwardFast
-/// computes anyway — the forward's arithmetic and outputs are untouched.
+/// regardless of n. Capturing changes no output bit: the edge epilogue
+/// reads z*W3 from the cache row instead of its own output slot.
 struct GatECapture {
   int block = 0;               // pair-row stride, >= n
   std::vector<float*> ew3;     // per head: rows of head_dim floats
@@ -72,29 +72,24 @@ class GatELayer : public nn::Module {
   GatEOutput Forward(const Tensor& nodes, const Tensor& edges,
                      const std::vector<bool>& adjacency) const;
 
-  /// No-grad fast path: writes Forward(...)'s out.nodes into the first n
-  /// rows of plan->node_out and out.edges into the first n*n rows of
-  /// plan->edge_out — bit for bit — through fused raw kernels, with no
-  /// autograd nodes and no (n^2, d) per-head temporaries (the Eq. 23
-  /// node terms are hoisted to two (n, dh) products, and attention rows
-  /// aggregate straight into the packed multi-head output). Requires
-  /// GradMode disabled; increments encode.fast_layers.
-  ///
-  /// `capture`, when given, receives the per-head z*W3 and s_edge
-  /// intermediates — the warm-up donation for incremental re-encode.
-  /// Passing it changes no output bit.
+  /// No-grad fused path: writes Forward(...)'s out.nodes into the first
+  /// n rows of plan->node_out and out.edges into the first n*n rows of
+  /// plan->edge_out, bit for bit, with no autograd nodes and no (n^2, d)
+  /// per-head temporaries. Requires GradMode disabled; increments
+  /// encode.fast_layers. `capture`, when given, also receives the
+  /// per-head z*W3 and s_edge intermediates (the session warm-up).
   void ForwardFast(const Matrix& nodes, const Matrix& edges,
                    const std::vector<bool>& adjacency, EncodePlan* plan,
                    GatECapture* capture = nullptr) const;
 
-  /// Incremental re-encode of one layer: recomputes attention rows whose
-  /// mask or inputs changed and edge pairs with a changed endpoint or
-  /// edge representation, reusing every other cached value bit for bit;
-  /// writes the surviving layer outputs into item->h_out/z_out in place
-  /// and reports which of them actually changed (out_*_dirty) so the
-  /// next layer's delta stays minimal. Bitwise-identical to running
-  /// ForwardFast on the full current inputs (incremental_encode_test).
-  /// Requires GradMode disabled.
+  /// ForwardFast restricted to what changed since a cached forward: runs
+  /// the same row kernels over the attention rows whose mask or inputs
+  /// changed and the edge pairs with a changed endpoint or z, reuses every
+  /// other cached value, writes the layer outputs into item->h_out/z_out
+  /// in place and reports which of them changed (out_*_dirty) so the next
+  /// layer's delta stays minimal. Bitwise-identical to ForwardFast on the
+  /// full current inputs (incremental_encode_test). Requires GradMode
+  /// disabled.
   void ForwardFastDelta(GatEDeltaItem* item, EncodePlan* plan) const;
 
   int num_heads() const { return num_heads_; }
@@ -113,6 +108,24 @@ class GatELayer : public nn::Module {
     Tensor w4;      // (d, dh)
     Tensor w5;      // (d, dh)
   };
+
+  // Row kernels shared by ForwardFast and ForwardFastDelta.
+  /// Head p's six per-node products (Eq. 20/22/23) into the plan.
+  void ProjectNodes(const Head& head, const float* nodes, int n,
+                    EncodePlan* plan) const;
+  /// Where head p writes one output row: its concat columns, or on the
+  /// last layer the row itself (head 0) or the (1, d) scratch.
+  float* HeadSlot(int p, float* out_row, EncodePlan* plan) const;
+  /// Attention row i of head p (Eq. 20-22) into plan->node_out.
+  void AttentionRow(int p, int i, const float* s_edge_row,
+                    const std::vector<bool>& adjacency, int n,
+                    EncodePlan* plan) const;
+  /// Edge pair (i, j) = row r of head p (Eq. 23/25) from its z*W3 row.
+  void EdgePair(int p, const float* ew3, int i, int j, size_t r,
+                EncodePlan* plan) const;
+  /// Eq. 26 1/P epilogue over the masked rows and pairs (null = all).
+  void MeanOverHeads(int n, const unsigned char* rows,
+                     const unsigned char* pairs, EncodePlan* plan) const;
 
   int hidden_dim_;
   int num_heads_;

@@ -21,48 +21,18 @@
 
 #include "core/incremental_encode.h"
 
-#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <utility>
 
 #include "core/encode_plan.h"
 #include "core/encoder.h"
-#include "core/model.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "tensor/grad_mode.h"
 
 namespace m2g::core {
 namespace {
 
-/// Minimum padded capacity: avoids re-warming every arrival on tiny
-/// graphs.
-constexpr int kMinCapacity = 16;
-
-/// Geometric headroom (doubling) so an arrival stream re-warms O(log n)
-/// times, not every k arrivals: capacity-change fallbacks are full
-/// encodes and eat directly into the amortized speedup. The byte cost of
-/// the slack is bounded by the session store's LRU budget.
-int GrownCapacity(int n) { return std::max(kMinCapacity, 2 * n); }
-
-/// Staleness policy: every k-th prediction through a session performs a
-/// full re-encode even when a delta would apply, bounding how long any
-/// cached representation chain can grow.
-constexpr uint64_t kRefreshPeriod = 64;
-
 size_t MatrixBytes(const Matrix& m) { return m.size() * sizeof(float); }
-
-/// Copies a dense (n*n, d) edge matrix into the cache's padded layout
-/// (pair (i, j) at row i*cap + j).
-void PackEdges(const Matrix& dense, int n, int cap, Matrix* padded) {
-  const int d = dense.cols();
-  for (int i = 0; i < n; ++i) {
-    std::memcpy(padded->data() + static_cast<size_t>(i) * cap * d,
-                dense.data() + static_cast<size_t>(i) * n * d,
-                sizeof(float) * static_cast<size_t>(n) * d);
-  }
-}
 
 /// Shifts cached node rows for an insertion at `pos` (descending, in
 /// place; row `pos` is left stale — the caller marks it fresh).
@@ -162,18 +132,6 @@ EncodedLevel MaterializeOutputs(const LevelEncodeCache& cache, int n) {
           Tensor::Constant(std::move(edges))};
 }
 
-obs::Counter& DeltaStepsCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().counter("encode.delta_steps");
-  return c;
-}
-
-obs::Counter& FullFallbacksCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().counter("encode.full_fallbacks");
-  return c;
-}
-
 }  // namespace
 
 size_t LevelEncodeCache::bytes() const {
@@ -196,84 +154,6 @@ size_t IncrementalState::bytes() const {
   };
   return total + level_bytes(graph.location) + level_bytes(graph.aoi) +
          graph.loc_to_aoi.size() * sizeof(int);
-}
-
-EncodedLevel LevelEncoder::EncodeFastCached(const graph::LevelGraph& level,
-                                            const Tensor& global_embed,
-                                            EncodePlan* plan,
-                                            LevelEncodeCache* cache) const {
-  M2G_CHECK(use_graph_);
-  M2G_CHECK(!GradMode::enabled());
-  const int n = level.n;
-  const int d = plan->hidden_dim;
-  const int num_layers = static_cast<int>(layers_.size());
-  const int heads = layers_.front()->num_heads();
-  M2G_CHECK_GE(plan->max_nodes, n);
-
-  // (Re)size the cache: zero-initialized buffers so no code path can
-  // ever observe uninitialized floats, and bytes() is exact from the
-  // start. Grown geometrically — see GrownCapacity.
-  if (cache->cap < n || cache->hidden != d || cache->layers != num_layers ||
-      cache->heads != heads) {
-    const int cap = GrownCapacity(n);
-    cache->Reset();
-    cache->cap = cap;
-    cache->hidden = d;
-    cache->layers = num_layers;
-    cache->heads = heads;
-    const size_t pairs = static_cast<size_t>(cap) * cap;
-    cache->h.reserve(num_layers + 1);
-    cache->z.reserve(num_layers + 1);
-    for (int l = 0; l <= num_layers; ++l) {
-      cache->h.emplace_back(cap, d);
-      cache->z.emplace_back(static_cast<int>(pairs), d);
-    }
-    cache->ew3.reserve(static_cast<size_t>(num_layers) * heads);
-    cache->se.reserve(static_cast<size_t>(num_layers) * heads);
-    for (int l = 0; l < num_layers; ++l) {
-      const int dh = layers_[l]->head_dim();
-      for (int p = 0; p < heads; ++p) {
-        cache->ew3.emplace_back(static_cast<int>(pairs), dh);
-        cache->se.emplace_back(static_cast<int>(pairs), 1);
-      }
-    }
-  }
-
-  // The EncodeFast sequence, with the cache fed as the forward runs.
-  Tensor nodes = feature_embed_->EmbedNodes(level);
-  nodes = input_proj_->Forward(
-      ConcatCols(nodes, BroadcastRows(global_embed, n)));
-  Tensor edges = feature_embed_->EmbedEdges(level);
-  Matrix h = nodes.value();
-  Matrix z = edges.value();
-  std::memcpy(cache->h[0].data(), h.data(),
-              sizeof(float) * static_cast<size_t>(n) * d);
-  PackEdges(z, n, cache->cap, &cache->z[0]);
-  for (int l = 0; l < num_layers; ++l) {
-    GatECapture capture;
-    capture.block = cache->cap;
-    capture.ew3.reserve(heads);
-    capture.se.reserve(heads);
-    for (int p = 0; p < heads; ++p) {
-      capture.ew3.push_back(cache->ew3[static_cast<size_t>(l) * heads + p]
-                                .data());
-      capture.se.push_back(cache->se[static_cast<size_t>(l) * heads + p]
-                               .data());
-    }
-    layers_[l]->ForwardFast(h, z, level.adjacency, plan, &capture);
-    // In-place residuals, exactly EncodeFast's loop.
-    float* hd = h.data();
-    const float* no = plan->node_out.data();
-    for (size_t t = 0, nd = h.size(); t < nd; ++t) hd[t] += no[t];
-    float* zd = z.data();
-    const float* eo = plan->edge_out.data();
-    for (size_t t = 0, nnd = z.size(); t < nnd; ++t) zd[t] += eo[t];
-    std::memcpy(cache->h[l + 1].data(), h.data(),
-                sizeof(float) * static_cast<size_t>(n) * d);
-    PackEdges(z, n, cache->cap, &cache->z[l + 1]);
-  }
-  cache->n = n;
-  return {Tensor::Constant(std::move(h)), Tensor::Constant(std::move(z))};
 }
 
 std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
@@ -437,118 +317,6 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
   }
   cache->n = n;
   return MaterializeOutputs(*cache, n);
-}
-
-RtpPrediction M2g4Rtp::PredictIncremental(const synth::Sample& sample,
-                                          IncrementalState* state,
-                                          IncrementalResult* result) const {
-  static obs::Histogram& graph_hist =
-      obs::StageHistogram("serve.stage.graph_build.ms");
-  static obs::Histogram& encode_hist =
-      obs::StageHistogram("serve.stage.encode.ms");
-  static obs::Histogram& delta_hist = obs::StageHistogram("encode.delta.ms");
-  M2G_CHECK(state != nullptr);
-  IncrementalResult local;
-  IncrementalResult* res = result != nullptr ? result : &local;
-  *res = IncrementalResult();
-
-  graph::MultiLevelGraph g;
-  {
-    obs::TraceSpan span("serve.stage.graph_build.ms", &graph_hist);
-    g = BuildMultiLevelGraph(sample, config_.graph);
-  }
-  Tensor u;
-  EncodedLevel loc_enc;
-  EncodedLevel aoi_enc;
-  {
-    obs::TraceSpan span("serve.stage.encode.ms", &encode_hist);
-    std::optional<EncodePlan> plan = MakeEncodePlan(g);
-    EncodePlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
-    // Sessions ride on the fused encode: without a plan (grad mode, the
-    // BiLSTM ablation) the call is exactly Predict's encode.
-    const bool sessions = plan_ptr != nullptr;
-    u = global_embed_->Embed(sample);
-
-    IncrementalFallback why = IncrementalFallback::kNone;
-    graph::LevelGraphDelta loc_delta, aoi_delta;
-    if (!sessions) {
-      why = IncrementalFallback::kDisabled;
-    } else if (!state->warm) {
-      why = IncrementalFallback::kCold;
-    } else if (state->u.size() != u.value().size() ||
-               std::memcmp(state->u.data(), u.value().data(),
-                           sizeof(float) * state->u.size()) != 0) {
-      why = IncrementalFallback::kGlobalChanged;
-    } else if (state->deltas_since_full + 1 >= kRefreshPeriod) {
-      why = IncrementalFallback::kRefresh;
-    } else {
-      loc_delta = graph::DiffLevelGraph(state->graph.location, g.location);
-      if (loc_delta.kind == graph::LevelDeltaKind::kStructural) {
-        why = IncrementalFallback::kStructural;
-      } else if (g.location.n > state->location.cap) {
-        why = IncrementalFallback::kCapacity;
-      }
-      if (why == IncrementalFallback::kNone && config_.use_aoi_level) {
-        aoi_delta = graph::DiffLevelGraph(state->graph.aoi, g.aoi);
-        if (aoi_delta.kind == graph::LevelDeltaKind::kStructural) {
-          why = IncrementalFallback::kStructural;
-        } else if (g.aoi.n > state->aoi.cap) {
-          why = IncrementalFallback::kCapacity;
-        }
-      }
-    }
-    if (why == IncrementalFallback::kNone) {
-      obs::TraceSpan delta_span("encode.delta.ms", &delta_hist);
-      std::optional<EncodedLevel> le = location_encoder_->EncodeDelta(
-          g.location, state->graph.location, loc_delta, u, plan_ptr,
-          &state->location);
-      std::optional<EncodedLevel> ae;
-      bool ok = le.has_value();
-      if (ok && config_.use_aoi_level) {
-        ae = aoi_encoder_->EncodeDelta(g.aoi, state->graph.aoi, aoi_delta,
-                                       u, plan_ptr, &state->aoi);
-        ok = ae.has_value();
-      }
-      if (ok) {
-        loc_enc = std::move(*le);
-        if (config_.use_aoi_level) aoi_enc = std::move(*ae);
-        state->graph = std::move(g);
-        ++state->deltas_since_full;
-        DeltaStepsCounter().Increment();
-        res->delta = true;
-      } else {
-        why = IncrementalFallback::kDirtySpread;
-      }
-    }
-    if (!res->delta) {
-      res->fallback = why;
-      if (why != IncrementalFallback::kDisabled &&
-          why != IncrementalFallback::kCold) {
-        FullFallbacksCounter().Increment();
-      }
-      if (sessions) {
-        loc_enc = location_encoder_->EncodeFastCached(g.location, u,
-                                                      plan_ptr,
-                                                      &state->location);
-        if (config_.use_aoi_level) {
-          aoi_enc = aoi_encoder_->EncodeFastCached(g.aoi, u, plan_ptr,
-                                                   &state->aoi);
-        }
-        state->u = u.value();
-        state->graph = std::move(g);
-        state->deltas_since_full = 0;
-        state->warm = true;
-      } else {
-        // Sessions inert (grad mode / BiLSTM): exactly Predict's encode,
-        // state untouched.
-        loc_enc = location_encoder_->Encode(g.location, u, plan_ptr);
-        if (config_.use_aoi_level) {
-          aoi_enc = aoi_encoder_->Encode(g.aoi, u, plan_ptr);
-        }
-      }
-    }
-  }
-  return DecodeWithEncodings(sample, u, loc_enc, aoi_enc);
 }
 
 }  // namespace m2g::core

@@ -51,7 +51,8 @@ struct LevelEncodeCache {
 /// path. kNone means the delta path ran.
 enum class IncrementalFallback {
   kNone = 0,
-  /// BiLSTM ablation or grad mode: sessions inert.
+  /// No session state (Predict), the BiLSTM ablation or grad mode:
+  /// sessions inert.
   kDisabled,
   /// No warm state yet (first request of a session, or after Reset).
   kCold,

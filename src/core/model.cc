@@ -1,11 +1,15 @@
 #include "core/model.h"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
+#include <utility>
 
 #include "core/encode_plan.h"
+#include "core/incremental_encode.h"
 #include "graph/features.h"
 #include "nn/serialize.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/grad_mode.h"
 
@@ -24,6 +28,23 @@ Tensor TimeLoss(const std::vector<Tensor>& predictions,
                        static_cast<float>(labels_min[i]) / scale));
   }
   return Scale(total, 1.0f / static_cast<float>(predictions.size()));
+}
+
+/// Staleness policy: every k-th prediction through a session performs a
+/// full re-encode even when a delta would apply, bounding how long any
+/// cached representation chain can grow.
+constexpr uint64_t kRefreshPeriod = 64;
+
+obs::Counter& DeltaStepsCounter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::Global().counter("encode.delta_steps");
+  return c;
+}
+
+obs::Counter& FullFallbacksCounter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::Global().counter("encode.full_fallbacks");
+  return c;
 }
 
 /// Stops gradients: returns a constant copy (used by the two-step
@@ -171,6 +192,12 @@ Tensor M2g4Rtp::ComputeLoss(const synth::Sample& sample,
 }
 
 RtpPrediction M2g4Rtp::Predict(const synth::Sample& sample) const {
+  return PredictIncremental(sample, nullptr);
+}
+
+RtpPrediction M2g4Rtp::PredictIncremental(const synth::Sample& sample,
+                                          IncrementalState* state,
+                                          IncrementalResult* result) const {
   // Per-stage spans cover the Figure 7 serving pipeline after feature
   // extraction. Instrumentation is observe-only: the numeric operations
   // and their order are exactly the uninstrumented path (the AOI encode
@@ -181,6 +208,9 @@ RtpPrediction M2g4Rtp::Predict(const synth::Sample& sample) const {
       obs::StageHistogram("serve.stage.graph_build.ms");
   static obs::Histogram& encode_hist =
       obs::StageHistogram("serve.stage.encode.ms");
+  IncrementalResult local;
+  IncrementalResult* res = result != nullptr ? result : &local;
+  *res = IncrementalResult();
 
   graph::MultiLevelGraph g;
   {
@@ -194,10 +224,88 @@ RtpPrediction M2g4Rtp::Predict(const synth::Sample& sample) const {
     obs::TraceSpan span("serve.stage.encode.ms", &encode_hist);
     std::optional<EncodePlan> plan = MakeEncodePlan(g);
     EncodePlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
+    // Sessions ride on the fused encode: with no state, or without a plan
+    // (grad mode, the BiLSTM ablation), this is the stateless encode.
+    const bool sessions = state != nullptr && plan_ptr != nullptr;
     u = global_embed_->Embed(sample);
-    loc_enc = location_encoder_->Encode(g.location, u, plan_ptr);
-    if (config_.use_aoi_level) {
-      aoi_enc = aoi_encoder_->Encode(g.aoi, u, plan_ptr);
+
+    IncrementalFallback why = IncrementalFallback::kNone;
+    graph::LevelGraphDelta loc_delta, aoi_delta;
+    if (!sessions) {
+      why = IncrementalFallback::kDisabled;
+    } else if (!state->warm) {
+      why = IncrementalFallback::kCold;
+    } else if (state->u.size() != u.value().size() ||
+               std::memcmp(state->u.data(), u.value().data(),
+                           sizeof(float) * state->u.size()) != 0) {
+      why = IncrementalFallback::kGlobalChanged;
+    } else if (state->deltas_since_full + 1 >= kRefreshPeriod) {
+      why = IncrementalFallback::kRefresh;
+    } else {
+      loc_delta = graph::DiffLevelGraph(state->graph.location, g.location);
+      if (loc_delta.kind == graph::LevelDeltaKind::kStructural) {
+        why = IncrementalFallback::kStructural;
+      } else if (g.location.n > state->location.cap) {
+        why = IncrementalFallback::kCapacity;
+      }
+      if (why == IncrementalFallback::kNone && config_.use_aoi_level) {
+        aoi_delta = graph::DiffLevelGraph(state->graph.aoi, g.aoi);
+        if (aoi_delta.kind == graph::LevelDeltaKind::kStructural) {
+          why = IncrementalFallback::kStructural;
+        } else if (g.aoi.n > state->aoi.cap) {
+          why = IncrementalFallback::kCapacity;
+        }
+      }
+    }
+    if (why == IncrementalFallback::kNone) {
+      static obs::Histogram& delta_hist =
+          obs::StageHistogram("encode.delta.ms");
+      obs::TraceSpan delta_span("encode.delta.ms", &delta_hist);
+      std::optional<EncodedLevel> le = location_encoder_->EncodeDelta(
+          g.location, state->graph.location, loc_delta, u, plan_ptr,
+          &state->location);
+      std::optional<EncodedLevel> ae;
+      bool ok = le.has_value();
+      if (ok && config_.use_aoi_level) {
+        ae = aoi_encoder_->EncodeDelta(g.aoi, state->graph.aoi, aoi_delta,
+                                       u, plan_ptr, &state->aoi);
+        ok = ae.has_value();
+      }
+      if (ok) {
+        loc_enc = std::move(*le);
+        if (config_.use_aoi_level) aoi_enc = std::move(*ae);
+        state->graph = std::move(g);
+        ++state->deltas_since_full;
+        DeltaStepsCounter().Increment();
+        res->delta = true;
+      } else {
+        why = IncrementalFallback::kDirtySpread;
+      }
+    }
+    if (!res->delta) {
+      res->fallback = why;
+      if (why != IncrementalFallback::kDisabled &&
+          why != IncrementalFallback::kCold) {
+        FullFallbacksCounter().Increment();
+      }
+      if (sessions) {
+        // Full encode that re-warms the session's caches.
+        loc_enc = location_encoder_->EncodeFast(g.location, u, plan_ptr,
+                                                &state->location);
+        if (config_.use_aoi_level) {
+          aoi_enc =
+              aoi_encoder_->EncodeFast(g.aoi, u, plan_ptr, &state->aoi);
+        }
+        state->u = u.value();
+        state->graph = std::move(g);
+        state->deltas_since_full = 0;
+        state->warm = true;
+      } else {
+        loc_enc = location_encoder_->Encode(g.location, u, plan_ptr);
+        if (config_.use_aoi_level) {
+          aoi_enc = aoi_encoder_->Encode(g.aoi, u, plan_ptr);
+        }
+      }
     }
   }
   return DecodeWithEncodings(sample, u, loc_enc, aoi_enc);

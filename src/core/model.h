@@ -55,23 +55,23 @@ class M2g4Rtp : public nn::Module {
                      LossBreakdown* breakdown = nullptr,
                      Rng* guidance_rng = nullptr) const;
 
-  /// Greedy joint prediction (§IV-D).
+  /// Greedy joint prediction (§IV-D): PredictIncremental with no
+  /// session state.
   RtpPrediction Predict(const synth::Sample& sample) const;
 
-  /// Predict through a per-courier incremental-encode session: when the
-  /// request's level graphs differ from `state`'s cached graphs by at
-  /// most one inserted/removed node per level (and the global embedding
-  /// is unchanged), only the affected GAT-e attention rows and edge
-  /// pairs are re-encoded (LevelEncoder::EncodeDelta); otherwise — cold
-  /// state, structural diff, capacity overflow, or the periodic refresh —
-  /// it performs a full encode and rewarms the state. Under grad mode or
-  /// the BiLSTM ablation the state stays untouched and the call is
-  /// exactly Predict.
-  /// The prediction is bitwise-identical to Predict(sample) in every
-  /// case (incremental_encode_test). Records encode.delta_steps /
-  /// encode.full_fallbacks and the encode.delta.ms span. Not
-  /// thread-safe per state: callers serialize on the owning session.
-  /// Defined in core/incremental_encode.cc.
+  /// The one predict pipeline: graph build, encode, then beam decode and
+  /// ETA heads. A null `state` is the stateless encode (Predict). With a
+  /// per-courier `state`, when the request's level graphs differ from the
+  /// cached ones by at most one inserted/removed node per level (and the
+  /// global embedding is unchanged), only the affected GAT-e attention
+  /// rows and edge pairs are re-encoded (LevelEncoder::EncodeDelta);
+  /// otherwise (cold state, structural diff, capacity overflow, the
+  /// periodic refresh) it runs the full encode and rewarms the state.
+  /// Under grad mode or the BiLSTM ablation the state stays untouched.
+  /// The prediction is bitwise-identical to Predict(sample) in every case
+  /// (incremental_encode_test). Records encode.delta_steps /
+  /// encode.full_fallbacks and the encode.delta.ms span. Not thread-safe
+  /// per state: callers serialize on the owning session.
   RtpPrediction PredictIncremental(const synth::Sample& sample,
                                    IncrementalState* state,
                                    IncrementalResult* result =
@@ -109,15 +109,14 @@ class M2g4Rtp : public nn::Module {
                              const std::vector<int>& aoi_route,
                              const std::vector<Tensor>& aoi_times) const;
 
-  /// The request's encode scratch, shared by Predict and
-  /// PredictIncremental: a plan sized to the larger level when the fused
-  /// no-grad encode applies (GAT-e encoder, gradients disabled on this
-  /// thread), nullopt when Encode dispatches to EncodeLegacy.
+  /// The request's encode scratch: a plan sized to the larger level when
+  /// the fused no-grad encode applies (GAT-e encoder, gradients disabled
+  /// on this thread), nullopt when Encode dispatches to EncodeLegacy.
   std::optional<EncodePlan> MakeEncodePlan(
       const graph::MultiLevelGraph& g) const;
 
-  /// Predict's decode + ETA tail, shared with PredictIncremental: beam
-  /// decode and SortLSTM heads over already-encoded levels, with the
+  /// PredictIncremental's decode + ETA tail: beam decode and SortLSTM
+  /// heads over already-encoded levels, with the
   /// serve.stage.route_decode/eta_head spans.
   RtpPrediction DecodeWithEncodings(const synth::Sample& sample,
                                     const Tensor& u,

@@ -1,5 +1,7 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -57,6 +59,13 @@ Status SaveModule(const Module& module, const std::string& path) {
 Status LoadModule(Module* module, const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return Status::IoError("cannot open for read: " + path);
+  // The file size bounds every record, so a forged header cannot make
+  // the loader allocate more than the file holds.
+  if (std::fseek(f.get(), 0, SEEK_END) != 0) {
+    return Status::IoError("cannot seek: " + path);
+  }
+  const int64_t file_size = std::ftell(f.get());
+  std::rewind(f.get());
   uint32_t magic = 0, count = 0;
   if (!ReadBytes(f.get(), &magic, sizeof(magic)) || magic != kMagic) {
     return Status::InvalidArgument("not an m2g weights file: " + path);
@@ -78,14 +87,27 @@ Status LoadModule(Module* module, const std::string& path) {
         !ReadBytes(f.get(), &cols, sizeof(cols)) || rows < 0 || cols < 0) {
       return Status::IoError("corrupt record in: " + path);
     }
+    // rows * cols < 2^62: the product cannot overflow 64 bits.
+    const int64_t floats_left =
+        (file_size - std::ftell(f.get())) / int64_t{sizeof(float)};
+    if (int64_t{rows} * cols > floats_left) {
+      return Status::IoError("truncated tensor data in: " + path);
+    }
     Matrix m(rows, cols);
     if (!ReadBytes(f.get(), m.data(),
                    sizeof(float) * static_cast<size_t>(m.size()))) {
       return Status::IoError("truncated tensor data in: " + path);
     }
+    if (!std::all_of(m.data(), m.data() + m.size(),
+                     [](float v) { return std::isfinite(v); })) {
+      return Status::InvalidArgument("non-finite value in " + name + ": " +
+                                     path);
+    }
     loaded.emplace(std::move(name), std::move(m));
   }
 
+  // Validate every record before assigning any, so a failed load leaves
+  // the module unchanged.
   auto named = module->NamedParameters();
   if (named.size() != loaded.size()) {
     return Status::InvalidArgument(StrFormat(
@@ -103,8 +125,8 @@ Status LoadModule(Module* module, const std::string& path) {
           name.c_str(), p.value().rows(), p.value().cols(),
           it->second.rows(), it->second.cols()));
     }
-    p.node()->value = it->second;
   }
+  for (auto& [name, p] : named) p.node()->value = std::move(loaded[name]);
   return Status::Ok();
 }
 

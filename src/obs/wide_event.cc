@@ -100,6 +100,7 @@ std::string WideEventSink::ToJsonLine(const WideEvent& e) {
   field("shed", e.shed ? "true" : "false");
   field("batched", e.batched ? "true" : "false");
   field("delta_encode", e.delta_encode ? "true" : "false");
+  field("encode_fallback", "\"" + JsonEscape(e.encode_fallback) + "\"");
   field("simd_tier", "\"" + JsonEscape(e.simd_tier) + "\"");
   field("locations", JsonNum(e.num_locations));
   field("aois", JsonNum(e.num_aois));

@@ -34,6 +34,11 @@ struct WideEvent {
   /// True when the request was served through an encode session's delta
   /// path (incremental re-encode) rather than a full graph encode.
   bool delta_encode = false;
+  /// Why a session request did not take the delta path: "none" when it
+  /// did, else "cold", "global_changed", "structural", "capacity",
+  /// "refresh", "dirty_spread" or "disabled". Empty when encode sessions
+  /// are off.
+  std::string encode_fallback;
   /// SIMD dispatch tier the tensor kernels ran at ("scalar", "sse2",
   /// "avx2"). Filled by the serving layer from simd::ActiveTier() —
   /// obs/ sits below tensor/, so the value arrives as a plain string.

@@ -1,12 +1,41 @@
 #include "serve/rtp_service.h"
 
+#include <iterator>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "core/incremental_encode.h"
 #include "obs/trace.h"
 #include "tensor/grad_mode.h"
 #include "tensor/simd.h"
 
 namespace m2g::serve {
+namespace {
+
+/// Wide-event names of core::IncrementalFallback, indexed by its value.
+constexpr const char* kFallbackNames[] = {
+    "none",       "disabled", "cold",    "global_changed",
+    "structural", "capacity", "refresh", "dirty_spread"};
+static_assert(std::size(kFallbackNames) ==
+              static_cast<size_t>(core::IncrementalFallback::kDirtySpread) + 1);
+
+/// encode.fallback.<reason> for a request that did not take the delta
+/// path. All reasons register together, so each exports (at zero) once
+/// sessions serve.
+obs::Counter& FallbackCounter(core::IncrementalFallback why) {
+  static const std::vector<obs::Counter*> counters = [] {
+    std::vector<obs::Counter*> all(1, nullptr);  // kNone is no fallback
+    for (size_t k = 1; k < std::size(kFallbackNames); ++k) {
+      all.push_back(&obs::MetricsRegistry::Global().counter(
+          std::string("encode.fallback.") + kFallbackNames[k]));
+    }
+    return all;
+  }();
+  return *counters[static_cast<size_t>(why)];
+}
+
+}  // namespace
 
 RtpService::RtpService(const synth::World* world, const ModelSource& models,
                        const ServingConfig& config)
@@ -86,6 +115,11 @@ RtpService::Response RtpService::Handle(const RtpRequest& request) const {
         response.prediction = model.PredictIncremental(
             response.sample, &session->state, &incremental);
         event.delta_encode = incremental.delta;
+        event.encode_fallback =
+            kFallbackNames[static_cast<size_t>(incremental.fallback)];
+        if (!incremental.delta) {
+          FallbackCounter(incremental.fallback).Increment();
+        }
         session_bytes = session->state.bytes();
       }
       sessions_->Release(courier_id, session_bytes);

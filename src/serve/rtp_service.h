@@ -25,12 +25,10 @@ struct EncodeSessionsConfig {
   size_t byte_budget = 256u << 20;
 };
 
-/// Serving-layer switches. Batching defaults off: the legacy
-/// one-thread-one-request path stays the default until a deployment
-/// opts in, making the batching refactor a pure restructuring under flag.
-/// Encode sessions take precedence over batching: a session-routed
-/// request runs inline against its courier's cached state and never
-/// enters the batch queue.
+/// Serving-layer switches. By default each request runs its own Predict
+/// on the calling thread. Encode sessions take precedence over batching:
+/// a session-routed request runs inline against its courier's cached
+/// state and never enters the batch queue.
 struct ServingConfig {
   bool batching_enabled = false;
   BatchConfig batch;
@@ -53,7 +51,7 @@ struct ServingConfig {
 /// bitwise-identical to the unbatched path, per request.
 class RtpService {
  public:
-  /// Fixed-model service, legacy path only. `model` must outlive the
+  /// Fixed-model service on the default path. `model` must outlive the
   /// service; it is typically loaded from a weights file produced by
   /// offline training. Responses carry model_version 0.
   RtpService(const synth::World* world, const core::M2g4Rtp* model)

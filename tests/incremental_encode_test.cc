@@ -140,7 +140,7 @@ int DriveStream(EncoderFixture* f, const std::vector<int>& start,
   {
     EncodePlan plan(prev.n, f->config.hidden_dim);
     EncodedLevel warm =
-        f->encoder->EncodeFastCached(prev, f->global, &plan, &cache);
+        f->encoder->EncodeFast(prev, f->global, &plan, &cache);
     ExpectLevelBitEqual(warm, f->Full(prev), what);
   }
   int delta_steps = 0;
@@ -156,7 +156,7 @@ int DriveStream(EncoderFixture* f, const std::vector<int>& start,
     } else {
       // Fallback: re-warm, as PredictIncremental would.
       EncodedLevel full =
-          f->encoder->EncodeFastCached(next, f->global, &plan, &cache);
+          f->encoder->EncodeFast(next, f->global, &plan, &cache);
       ExpectLevelBitEqual(full, f->Full(next), what);
     }
     prev = std::move(next);
@@ -176,7 +176,7 @@ TEST(IncrementalEncodeTest, CachedWarmEncodeMatchesEncodeFastBitwise) {
       LevelEncodeCache cache;
       EncodePlan plan(n, f.config.hidden_dim);
       EncodedLevel cached =
-          f.encoder->EncodeFastCached(level, f.global, &plan, &cache);
+          f.encoder->EncodeFast(level, f.global, &plan, &cache);
       ExpectLevelBitEqual(cached, f.Full(level), "warm vs EncodeFast");
       EXPECT_EQ(cache.n, n);
       EXPECT_GT(cache.bytes(), 0u);
@@ -230,7 +230,7 @@ TEST(IncrementalEncodeTest, FeatureDriftOnAlignedNodesBitwise) {
   graph::LevelGraph before = LevelFromIds(ids);
   LevelEncodeCache cache;
   EncodePlan plan(before.n, f.config.hidden_dim);
-  f.encoder->EncodeFastCached(before, f.global, &plan, &cache);
+  f.encoder->EncodeFast(before, f.global, &plan, &cache);
 
   graph::LevelGraph after = LevelFromIds(ids);
   after.node_continuous.At(2, 0) += 0.25f;
@@ -250,7 +250,7 @@ TEST(IncrementalEncodeTest, IdenticalGraphServesCacheBitwise) {
   graph::LevelGraph level = LevelFromIds(ids);
   LevelEncodeCache cache;
   EncodePlan plan(level.n, f.config.hidden_dim);
-  f.encoder->EncodeFastCached(level, f.global, &plan, &cache);
+  f.encoder->EncodeFast(level, f.global, &plan, &cache);
   graph::LevelGraph same = LevelFromIds(ids);
   const graph::LevelGraphDelta delta = graph::DiffLevelGraph(level, same);
   EXPECT_EQ(delta.kind, graph::LevelDeltaKind::kIdentical);
@@ -267,7 +267,7 @@ TEST(IncrementalEncodeTest, StructuralAndOversizeDeltasRefuse) {
   graph::LevelGraph level = LevelFromIds(ids);
   LevelEncodeCache cache;
   EncodePlan plan(32, f.config.hidden_dim);
-  f.encoder->EncodeFastCached(level, f.global, &plan, &cache);
+  f.encoder->EncodeFast(level, f.global, &plan, &cache);
 
   // Permutation: values survive but the numbering moved — structural.
   graph::LevelGraph permuted = LevelFromIds({10, 5, 15, 20});
@@ -304,7 +304,7 @@ TEST(IncrementalEncodeTest, DirtySpreadBailsOutToFullEncode) {
   graph::LevelGraph before = LevelFromIds(ids);
   LevelEncodeCache cache;
   EncodePlan plan(before.n, f.config.hidden_dim);
-  f.encoder->EncodeFastCached(before, f.global, &plan, &cache);
+  f.encoder->EncodeFast(before, f.global, &plan, &cache);
   graph::LevelGraph after = LevelFromIds(ids);
   for (int i = 0; i < after.n; ++i) after.node_continuous.At(i, 0) += 1.0f;
   const graph::LevelGraphDelta delta = graph::DiffLevelGraph(before, after);
@@ -314,7 +314,7 @@ TEST(IncrementalEncodeTest, DirtySpreadBailsOutToFullEncode) {
           .has_value());
   // The cache survives a refusal well enough to re-warm correctly.
   EncodedLevel full =
-      f.encoder->EncodeFastCached(after, f.global, &plan, &cache);
+      f.encoder->EncodeFast(after, f.global, &plan, &cache);
   ExpectLevelBitEqual(full, f.Full(after), "re-warm after refusal");
 }
 
@@ -429,7 +429,7 @@ TEST(PredictIncrementalTest, ArrivalStreamMatchesPredictBitwise) {
 
 TEST(PredictIncrementalTest, RefreshPeriodForcesScheduledFullEncode) {
   // The session re-encodes in full on every 64th update after a warm-up
-  // (kRefreshPeriod in incremental_encode.cc), delta or not.
+  // (kRefreshPeriod in core/model.cc), delta or not.
   constexpr int kRefreshPeriod = 64;
   ModelFixture f;
   NoGradGuard no_grad;
@@ -506,6 +506,49 @@ TEST(PredictIncrementalTest, GradModeDisablesSessionsAndMatchesPredict) {
   EXPECT_FALSE(state.warm);
   EXPECT_EQ(state.bytes(), 0u);
   ExpectPredictionBitEqual(got, f.model->Predict(s));
+}
+
+TEST(PredictIncrementalTest, SingleLevelArrivalStreamMatchesPredict) {
+  // Without the AOI level only the location encoder carries a session
+  // cache: every step must still match Predict bitwise, and the stream
+  // must reach the delta path.
+  ModelConfig mc = ModelFixture::SmallConfig();
+  mc.use_aoi_level = false;
+  ModelFixture f(mc);
+  NoGradGuard no_grad;
+  IncrementalState state;
+  int delta_steps = 0;
+  for (int count = 2; count <= f.sample->num_locations(); ++count) {
+    synth::Sample s = f.extractor->BuildSample(f.RequestWithOrders(count));
+    IncrementalResult res;
+    RtpPrediction got = f.model->PredictIncremental(s, &state, &res);
+    RtpPrediction want = f.model->Predict(s);
+    ExpectPredictionBitEqual(got, want);
+    EXPECT_TRUE(got.aoi_route.empty());
+    delta_steps += res.delta ? 1 : 0;
+  }
+  EXPECT_GE(delta_steps, 1);
+  EXPECT_EQ(state.aoi.bytes(), 0u);
+}
+
+TEST(PredictIncrementalTest, BiLstmAblationDisablesSessionsAndMatchesPredict) {
+  // The "w/o graph" ablation has no GAT-e stack to cache: sessions stay
+  // inert even with gradients off, and the result is exactly Predict.
+  ModelConfig mc = ModelFixture::SmallConfig();
+  mc.use_graph_encoder = false;
+  ModelFixture f(mc);
+  NoGradGuard no_grad;
+  IncrementalState state;
+  synth::Sample s = f.extractor->BuildSample(f.RequestWithOrders(4));
+  for (int round = 0; round < 2; ++round) {
+    IncrementalResult res;
+    RtpPrediction got = f.model->PredictIncremental(s, &state, &res);
+    EXPECT_FALSE(res.delta);
+    EXPECT_EQ(res.fallback, IncrementalFallback::kDisabled);
+    EXPECT_FALSE(state.warm);
+    EXPECT_EQ(state.bytes(), 0u);
+    ExpectPredictionBitEqual(got, f.model->Predict(s));
+  }
 }
 
 TEST(PredictIncrementalTest, ConcurrentStatesAreIndependent) {

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <vector>
 
 #include "nn/embedding.h"
 #include "nn/init.h"
@@ -183,6 +185,62 @@ TEST(SerializeTest, ShapeMismatchRejected) {
   ASSERT_TRUE(SaveModule(a, path).ok());
   Status s = LoadModule(&wrong, path);
   EXPECT_FALSE(s.ok());
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, ShapeMismatchLeavesModuleUnchanged) {
+  // The first layer's records match and the second's do not: a failed
+  // load must not have assigned the matching ones either.
+  Rng rng(12);
+  Mlp a({3, 8, 2}, &rng);
+  Mlp wrong({3, 8, 3}, &rng);
+  const std::string path = ::testing::TempDir() + "/mlp_partial.bin";
+  ASSERT_TRUE(SaveModule(a, path).ok());
+  std::vector<Matrix> before;
+  for (const Tensor& p : wrong.Parameters()) before.push_back(p.value());
+  EXPECT_FALSE(LoadModule(&wrong, path).ok());
+  auto after = wrong.Parameters();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    ASSERT_TRUE(after[i].value().SameShape(before[i]));
+    EXPECT_EQ(std::memcmp(after[i].value().data(), before[i].data(),
+                          sizeof(float) * before[i].size()),
+              0)
+        << i;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, OversizedHeaderRejectedBeforeAllocating) {
+  // 20-byte files claiming a 46341 x 46341 tensor (about 8 GB) and an
+  // INT32_MAX x INT32_MAX one (whose byte count overflows 64 bits).
+  const std::string path = ::testing::TempDir() + "/oversized.bin";
+  for (uint32_t dim : {46341u, 0x7fffffffu}) {
+    const uint32_t header[] = {0x4D324757u, 1u, 0u, dim, dim};
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(header, sizeof(header), 1, f), 1u);
+    std::fclose(f);
+    Rng rng(13);
+    Mlp a({2, 2}, &rng);
+    EXPECT_EQ(LoadModule(&a, path).code(), StatusCode::kIoError) << dim;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SerializeTest, NonFiniteWeightRejected) {
+  Rng rng(14);
+  Mlp a({3, 4}, &rng);
+  Mlp b({3, 4}, &rng);
+  a.Parameters().front().node()->value[1] = std::nanf("");
+  const std::string path = ::testing::TempDir() + "/nan_weights.bin";
+  ASSERT_TRUE(SaveModule(a, path).ok());
+  const Matrix before = b.Parameters().front().value();
+  const Status s = LoadModule(&b, path);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(std::memcmp(b.Parameters().front().value().data(), before.data(),
+                        sizeof(float) * before.size()),
+            0);
   std::remove(path.c_str());
 }
 

@@ -9,6 +9,9 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -445,6 +448,23 @@ TEST(ModelRegistryTest, PublishBumpsVersionAndTagsResponses) {
                                       path + ".does_not_exist");
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(registry.version(), 8);
+}
+
+TEST(ModelRegistryTest, PublishFromFileRejectsNonFiniteWeights) {
+  // A weights file carrying a NaN must never reach live serving.
+  ServeFixture* f = Fixture();
+  std::shared_ptr<const core::M2g4Rtp> initial(f->model.get(),
+                                               [](const core::M2g4Rtp*) {});
+  ModelRegistry registry(initial, /*initial_version=*/5);
+  core::M2g4Rtp poisoned(f->model->config());
+  poisoned.Parameters().front().node()->value[0] = std::nanf("");
+  const std::string path = ::testing::TempDir() + "/serve_nan_weights.bin";
+  ASSERT_TRUE(poisoned.Save(path).ok());
+  auto result = registry.PublishFromFile(f->model->config(), path);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(registry.version(), 5);
+  EXPECT_EQ(registry.swap_count(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(ModelRegistryTest, SwapUnderConcurrentBatchedLoadDropsNothing) {
@@ -1125,6 +1145,81 @@ TEST(EncodeSessionTest, SnapshotHotSwapInvalidatesSessions) {
   // And the session re-warms under the new version: still the new bits.
   RtpService::Response again = service.Handle(request);
   ExpectPredictionBitwiseEq(again.prediction, want);
+}
+
+/// A counter's value in a /metrics body (0 when absent).
+double PromCounter(const std::string& body, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const size_t at = body.find(key);
+  return at == std::string::npos
+             ? 0
+             : std::strtod(body.c_str() + at + key.size(), nullptr);
+}
+
+TEST(EncodeSessionTest, FallbackReasonsExportThroughEventsAndMetrics) {
+  // An operator must be able to tell, from the admin port alone, which
+  // encode path each session request took and why. Script cold -> delta
+  // -> global change -> structural and read the reasons back.
+  M2G_SKIP_IF_OBS_DISABLED();
+  ServeFixture* f = Fixture();
+  const synth::Sample* sample = nullptr;
+  for (const synth::Sample& s : f->built.splits.test.samples) {
+    if (sample == nullptr || s.num_locations() > sample->num_locations()) {
+      sample = &s;
+    }
+  }
+  ASSERT_GE(sample->num_locations(), 7);
+  obs::SetEnabled(true);
+  obs::WideEventSink::Global().Clear();
+  obs::AdminServer server;
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  const std::string before = HttpGet(server.port(), "/metrics");
+
+  ServingConfig config;
+  config.encode_sessions.enabled = true;
+  RtpService service(&f->built.world, f->model.get(), config);
+  const RtpRequest full = f->RequestFromSample(*sample);
+  RtpRequest req = full;
+  req.pending.resize(4);
+  service.Handle(req);  // cold
+  req.pending.resize(5);
+  service.Handle(req);  // one arrival: delta
+  req.weather = (req.weather + 1) % synth::kNumWeatherCodes;
+  service.Handle(req);  // global embedding changed
+  req.pending.assign(full.pending.begin(), full.pending.begin() + 7);
+  service.Handle(req);  // two arrivals at once: structural
+
+  const std::string events = HttpGet(server.port(), "/events");
+  const std::string after = HttpGet(server.port(), "/metrics");
+  server.Stop();
+  obs::WideEventSink::Global().Clear();
+
+  const std::string key = "\"encode_fallback\": \"";
+  std::vector<std::string> reasons;
+  for (size_t at = events.find(key); at != std::string::npos;
+       at = events.find(key, at)) {
+    at += key.size();
+    reasons.push_back(events.substr(at, events.find('"', at) - at));
+  }
+  EXPECT_EQ(reasons, (std::vector<std::string>{"cold", "none",
+                                               "global_changed",
+                                               "structural"}));
+  auto moved = [&](const std::string& name) {
+    return PromCounter(after, name) - PromCounter(before, name);
+  };
+  EXPECT_EQ(moved("m2g_encode_fallback_cold_total"), 1);
+  EXPECT_EQ(moved("m2g_encode_delta_steps_total"), 1);
+  EXPECT_EQ(moved("m2g_encode_fallback_global_changed_total"), 1);
+  EXPECT_EQ(moved("m2g_encode_fallback_structural_total"), 1);
+  EXPECT_EQ(moved("m2g_encode_fallback_capacity_total"), 0);
+  EXPECT_EQ(moved("m2g_encode_fallback_dirty_spread_total"), 0);
+  EXPECT_EQ(moved("m2g_encode_full_fallbacks_total"), 2);
+  // Reasons that never fired still export, at their running totals.
+  EXPECT_NE(after.find("\nm2g_encode_fallback_refresh_total "),
+            std::string::npos);
+  EXPECT_NE(after.find("\nm2g_encode_fallback_disabled_total "),
+            std::string::npos);
 }
 
 }  // namespace
