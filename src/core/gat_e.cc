@@ -23,6 +23,31 @@ obs::Counter& LegacyLayerCounter() {
   return c;
 }
 
+/// Where one head writes an output row (Eq. 24-26): hidden layers write
+/// the head's concat columns at `col0` in place; on the last layer head 0
+/// seeds the row and later heads go through the (1, d) scratch `sum`
+/// (non-null only then) and add in, the sequential elementwise adds of
+/// the autograd epilogue.
+inline float* HeadSlot(float* out_row, int col0, float* sum) {
+  return sum != nullptr ? sum : out_row + col0;
+}
+
+/// Eq. 23/25 for one edge pair and head: dst = ReLU(ew3 + (nw4_i +
+/// nw5_j)) in the autograd association order, then out += dst on the
+/// last layer's later heads. `ew3` may alias `dst`. Every pointer is
+/// hoisted by the caller: this runs n^2 times per head.
+inline void EdgePair(const float* ew3, const float* nw4_row,
+                     const float* nw5_row, int dh, float* dst, float* sum,
+                     float* out) {
+  for (int c = 0; c < dh; ++c) {
+    const float v = ew3[c] + (nw4_row[c] + nw5_row[c]);
+    dst[c] = v > 0.0f ? v : 0.0f;
+  }
+  if (sum != nullptr) {
+    for (int c = 0; c < dh; ++c) out[c] += dst[c];
+  }
+}
+
 }  // namespace
 
 GatELayer::GatELayer(const ModelConfig& config, bool is_last, Rng* rng)
@@ -141,10 +166,11 @@ GatEOutput GatELayer::Forward(const Tensor& nodes, const Tensor& edges,
   return out;
 }
 
-// The row kernels below are the whole fused layer: ForwardFast runs them
-// over every row and pair, ForwardFastDelta over its dirty sets. Keeping
-// one copy of each is what keeps the two paths byte-identical. They are
-// inline so the per-pair calls cost nothing in the n^2 loops.
+// The row kernels below (with HeadSlot and EdgePair above) are the whole
+// fused layer: ForwardFast runs them over every row and pair,
+// ForwardFastDelta over its dirty sets. Keeping one copy of each is what
+// keeps the two paths byte-identical. They are inline so the per-row and
+// per-pair calls cost nothing in the n^2 loops.
 
 inline void GatELayer::ProjectNodes(const Head& head, const float* nodes,
                                     int n, EncodePlan* plan) const {
@@ -166,19 +192,10 @@ inline void GatELayer::ProjectNodes(const Head& head, const float* nodes,
   MatMulInto(nodes, n, d, head.w5.value().data(), dh, plan->nw5.data());
 }
 
-inline float* GatELayer::HeadSlot(int p, float* out_row,
-                                  EncodePlan* plan) const {
-  // Hidden layers write head p's columns of the concat (Eq. 24/25) in
-  // place. The last layer averages full-width heads: head 0 seeds the
-  // output row and later heads go through the (1, d) scratch and add in,
-  // the sequential elementwise adds of the autograd epilogue (Eq. 26).
-  if (is_last_) return p > 0 ? plan->row.data() : out_row;
-  return out_row + p * head_dim_;
-}
-
-inline void GatELayer::AttentionRow(int p, int i, const float* s_edge_row,
+inline void GatELayer::AttentionRow(int i, const float* s_edge_row,
                                     const std::vector<bool>& adjacency,
-                                    int n, EncodePlan* plan) const {
+                                    int n, int col0, float* sum,
+                                    EncodePlan* plan) const {
   // Logits -> masked softmax -> aggregation, fused (Eq. 20-22), with no
   // (1, n) or (1, dh) temporaries.
   const int dh = head_dim_;
@@ -187,30 +204,12 @@ inline void GatELayer::AttentionRow(int p, int i, const float* s_edge_row,
   MaskedSoftmaxRowRaw(plan->logits.data(), adjacency,
                       static_cast<size_t>(i) * n, n, plan->alpha.data());
   float* out = plan->node_out.data() + static_cast<size_t>(i) * hidden_dim_;
-  float* dst = HeadSlot(p, out, plan);
+  float* dst = HeadSlot(out, col0, sum);
   std::fill(dst, dst + dh, 0.0f);
   AccumulateRowMatMul(plan->alpha.data(), n, plan->msg.data(), dh, dst);
   if (!is_last_) {
     for (int c = 0; c < dh; ++c) dst[c] = dst[c] > 0.0f ? dst[c] : 0.0f;
-  } else if (p > 0) {
-    for (int c = 0; c < dh; ++c) out[c] += dst[c];
-  }
-}
-
-inline void GatELayer::EdgePair(int p, const float* ew3, int i, int j,
-                                size_t r, EncodePlan* plan) const {
-  // Eq. 23/25: z' = ReLU(z W3 + (nw4_i + nw5_j)), keeping the autograd
-  // association order. `ew3` may alias this pair's head slot.
-  const int dh = head_dim_;
-  const float* nw4_row = plan->nw4.data() + static_cast<size_t>(i) * dh;
-  const float* nw5_row = plan->nw5.data() + static_cast<size_t>(j) * dh;
-  float* out = plan->edge_out.data() + r * hidden_dim_;
-  float* dst = HeadSlot(p, out, plan);
-  for (int c = 0; c < dh; ++c) {
-    const float v = ew3[c] + (nw4_row[c] + nw5_row[c]);
-    dst[c] = v > 0.0f ? v : 0.0f;
-  }
-  if (is_last_ && p > 0) {
+  } else if (sum != nullptr) {
     for (int c = 0; c < dh; ++c) out[c] += dst[c];
   }
 }
@@ -255,8 +254,13 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
   // All the matmul/logit kernels dispatch through the runtime SIMD tier
   // (tensor/simd.h), bitwise-identical on every tier.
   float* s_edge = plan->s_edge.data();
+  float* edge_out = plan->edge_out.data();
+  const float* nw4 = plan->nw4.data();
+  const float* nw5 = plan->nw5.data();
   for (int p = 0; p < num_heads_; ++p) {
     const Head& head = heads_[p];
+    const int col0 = is_last_ ? 0 : p * dh;
+    float* sum = is_last_ && p > 0 ? plan->row.data() : nullptr;
     MatMulInto(edges.data(), n * n, d, head.ae.value().data(), 1, s_edge);
     ProjectNodes(head, nodes.data(), n, plan);
     for (int i = 0; i < n; ++i) {
@@ -266,22 +270,26 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
         std::copy(row, row + n,
                   capture->se[p] + static_cast<size_t>(i) * capture->block);
       }
-      AttentionRow(p, i, row, adjacency, n, plan);
+      AttentionRow(i, row, adjacency, n, col0, sum, plan);
     }
     // z_ij * W3 lands in the pair's head slot, or in the session cache
     // row when warming one, and EdgePair finishes it from there.
     for (int i = 0; i < n; ++i) {
+      const float* nw4_row = nw4 + static_cast<size_t>(i) * dh;
       for (int j = 0; j < n; ++j) {
         const size_t r = static_cast<size_t>(i) * n + j;
+        float* out = edge_out + r * d;
+        float* dst = HeadSlot(out, col0, sum);
         float* ew3 =
             capture != nullptr
                 ? capture->ew3[p] +
                       (static_cast<size_t>(i) * capture->block + j) * dh
-                : HeadSlot(p, plan->edge_out.data() + r * d, plan);
+                : dst;
         std::fill(ew3, ew3 + dh, 0.0f);
         AccumulateRowMatMul(edges.data() + r * d, d, head.w3.value().data(),
                             dh, ew3);
-        EdgePair(p, ew3, i, j, r, plan);
+        EdgePair(ew3, nw4_row, nw5 + static_cast<size_t>(j) * dh, dh, dst,
+                 sum, out);
       }
     }
   }
@@ -342,6 +350,8 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
     // Per-node projections are recomputed in full: they are O(n d dh),
     // noise next to the n^2 terms, and reproduce the warm forward's bits
     // for clean rows for free.
+    const int col0 = is_last_ ? 0 : p * dh;
+    float* sum = is_last_ && p > 0 ? plan->row.data() : nullptr;
     ProjectNodes(head, item->h_in, n, plan);
     float* se = item->se[p];
     float* ew3 = item->ew3[p];
@@ -366,16 +376,19 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
     // endpoint reuse the cached z * W3 and pay only the epilogue.
     for (int i = 0; i < n; ++i) {
       if (row_rec[i]) {
-        AttentionRow(p, i, se + static_cast<size_t>(i) * block, adjacency, n,
-                     plan);
+        AttentionRow(i, se + static_cast<size_t>(i) * block, adjacency, n,
+                     col0, sum, plan);
       }
     }
     for (int i = 0; i < n; ++i) {
+      const float* nw4_row = plan->nw4.data() + static_cast<size_t>(i) * dh;
       for (int j = 0; j < n; ++j) {
         const size_t r = static_cast<size_t>(i) * n + j;
         if (!pair_rec[r]) continue;
-        EdgePair(p, ew3 + (static_cast<size_t>(i) * block + j) * dh, i, j, r,
-                 plan);
+        float* out = plan->edge_out.data() + r * d;
+        EdgePair(ew3 + (static_cast<size_t>(i) * block + j) * dh, nw4_row,
+                 plan->nw5.data() + static_cast<size_t>(j) * dh, dh,
+                 HeadSlot(out, col0, sum), sum, out);
       }
     }
   }

@@ -113,16 +113,11 @@ class GatELayer : public nn::Module {
   /// Head p's six per-node products (Eq. 20/22/23) into the plan.
   void ProjectNodes(const Head& head, const float* nodes, int n,
                     EncodePlan* plan) const;
-  /// Where head p writes one output row: its concat columns, or on the
-  /// last layer the row itself (head 0) or the (1, d) scratch.
-  float* HeadSlot(int p, float* out_row, EncodePlan* plan) const;
-  /// Attention row i of head p (Eq. 20-22) into plan->node_out.
-  void AttentionRow(int p, int i, const float* s_edge_row,
-                    const std::vector<bool>& adjacency, int n,
-                    EncodePlan* plan) const;
-  /// Edge pair (i, j) = row r of head p (Eq. 23/25) from its z*W3 row.
-  void EdgePair(int p, const float* ew3, int i, int j, size_t r,
-                EncodePlan* plan) const;
+  /// Attention row i (Eq. 20-22) into plan->node_out at the head's slot
+  /// (concat columns at `col0`, or the last layer's scratch `sum`).
+  void AttentionRow(int i, const float* s_edge_row,
+                    const std::vector<bool>& adjacency, int n, int col0,
+                    float* sum, EncodePlan* plan) const;
   /// Eq. 26 1/P epilogue over the masked rows and pairs (null = all).
   void MeanOverHeads(int n, const unsigned char* rows,
                      const unsigned char* pairs, EncodePlan* plan) const;
