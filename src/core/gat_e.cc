@@ -107,36 +107,25 @@ GatEOutput GatELayer::Forward(const Tensor& nodes, const Tensor& edges,
     // Eq. 20 decomposed: c_ij = LeakyReLU(s_src[i] + s_dst[j] + s_e[ij]).
     Tensor wh = MatMul(nodes, head.w1);            // (n, dh)
     Tensor s_src = MatMul(wh, head.av_src);        // (n, 1)
-    Tensor s_dst_row = Transpose(MatMul(wh, head.av_dst));  // (1, n)
+    Tensor s_dst = MatMul(wh, head.av_dst);        // (n, 1)
     Tensor s_edge = MatMul(edges, head.ae);        // (n*n, 1)
     // Messages. (Eq. 22 as printed applies W2 to h_i; aggregating the
     // *neighbour* representation h_j is the standard GAT formulation and
     // the only reading under which attention weights matter, so we use
     // h_j.)
     Tensor messages = MatMul(nodes, head.w2);      // (n, dh)
-
-    std::vector<Tensor> out_rows;
-    out_rows.reserve(n);
-    for (int i = 0; i < n; ++i) {
-      // Attention logits over node i's neighbourhood.
-      Tensor s_e_row = Transpose(SliceRows(s_edge, i * n, n));  // (1, n)
-      Tensor logits = LeakyRelu(
-          AddScalarTensor(Add(s_dst_row, s_e_row), Row(s_src, i)),
-          leaky_slope_);
-      std::vector<bool> mask(adjacency.begin() + i * n,
-                             adjacency.begin() + (i + 1) * n);
-      Tensor alpha = MaskedSoftmaxRow(logits, mask);  // Eq. 21
-      out_rows.push_back(MatMul(alpha, messages));    // (1, dh)
-    }
-    Tensor head_nodes = ConcatRows(out_rows);
+    // Eq. 20-22 over every row i: masked softmax over i's neighbourhood,
+    // then the attention-weighted sum of messages.
+    Tensor head_nodes =
+        GatAttention(s_dst, s_edge, s_src, messages, adjacency, leaky_slope_);
     if (!is_last_) head_nodes = Relu(head_nodes);  // Eq. 24 vs Eq. 26
     node_heads.push_back(head_nodes);
 
     // Eq. 23 / 25: z'_ij = ReLU(W3 z_ij + W4 h_i + W5 h_j).
     Tensor edge_update =
         Add(MatMul(edges, head.w3),
-            Add(MatMul(GatherRows(nodes, src_idx), head.w4),
-                MatMul(GatherRows(nodes, dst_idx), head.w5)));
+            Add(GatherRowsMatMul(nodes, src_idx, head.w4),
+                GatherRowsMatMul(nodes, dst_idx, head.w5)));
     edge_heads.push_back(Relu(edge_update));
   }
 

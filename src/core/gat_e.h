@@ -68,7 +68,11 @@ class GatELayer : public nn::Module {
   /// `adjacency` is the n*n Eq. 15 connectivity (with self-loops); the
   /// attention softmax for node i runs over {j : adj[i*n+j]}. This is
   /// the autograd path (training, and the fast path's parity reference);
-  /// it increments encode.legacy_layers.
+  /// it increments encode.legacy_layers. Per head, Eq. 20-22 is one
+  /// GatAttention node and the Eq. 23 W4/W5 terms are GatherRowsMatMul
+  /// nodes (tensor/ops.h); values and gradients are bit-identical to the
+  /// per-row op chain this layer used to build, which is kept as the
+  /// oracle in tests/gradcheck_test.cc.
   GatEOutput Forward(const Tensor& nodes, const Tensor& edges,
                      const std::vector<bool>& adjacency) const;
 

@@ -34,10 +34,14 @@ struct EvalScale {
   /// heuristics run once.
   int num_seeds = 3;
   /// Worker threads: parallelizes the (method x seed) comparison grid and
-  /// is forwarded to each learned model's trainer. 1 (default) is the
-  /// serial legacy path; 0 resolves to DefaultThreads(). Results are
-  /// identical for any value — every run is independently seeded and lands
-  /// at a fixed grid position.
+  /// is forwarded to the M2G4RTP variants' trainers. 1 (default) is the
+  /// serial path; 0 resolves to DefaultThreads(), which depends on the
+  /// host. The grid itself does not change results (every run is
+  /// independently seeded and lands at a fixed grid position), but the
+  /// trainer does: with N > 1 it reduces per-thread gradient buffers of
+  /// contiguous batch shards, a different float summation order than the
+  /// serial path, so M2G4RTP weights and their table rows change with
+  /// the value. Runs are bitwise-reproducible only at the same value.
   int threads = 1;
 };
 

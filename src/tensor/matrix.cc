@@ -137,9 +137,22 @@ Matrix MatMulRaw(const Matrix& a, const Matrix& b) {
 }
 
 Matrix TransposeRaw(const Matrix& a) {
-  Matrix out = Matrix::Uninit(a.cols(), a.rows());
-  for (int r = 0; r < a.rows(); ++r) {
-    for (int c = 0; c < a.cols(); ++c) out.At(c, r) = a.At(r, c);
+  const int rows = a.rows(), cols = a.cols();
+  Matrix out = Matrix::Uninit(cols, rows);
+  if (rows == 1 || cols == 1) {
+    // A row or column vector has the same flat layout as its transpose.
+    if (!a.empty()) {
+      std::memcpy(out.data(), a.data(), a.size() * sizeof(float));
+    }
+    return out;
+  }
+  const float* src = a.data();
+  float* dst = out.data();
+  for (int r = 0; r < rows; ++r) {
+    const float* row = src + static_cast<size_t>(r) * cols;
+    for (int c = 0; c < cols; ++c) {
+      dst[static_cast<size_t>(c) * rows + r] = row[c];
+    }
   }
   return out;
 }
@@ -200,9 +213,9 @@ Matrix AffineRaw(const Matrix& x, const Matrix& w, const Matrix* bias,
 
 void AccumulateRowMatMul(const float* x, int k, const float* b, int m,
                          float* out_row) {
-  // Zero-scan picks the path: the branchy loop wins when rows carry exact
-  // zeros (one-hot features, ReLU outputs, the all-zero initial LSTM
-  // state), the vectorized dense kernel wins on dense activations. The
+  // Zero-scan picks the path: rows carrying exact zeros (one-hot
+  // features, ReLU outputs, the all-zero initial LSTM state) skip them
+  // run by run, dense activations go to the dense kernel whole. The
   // scan is capped at the first kZeroScanCap entries: real rows are
   // either dense everywhere (hidden activations) or zero-sparse from the
   // start (one-hot blocks), so the prefix decides, and the scan cost
@@ -218,18 +231,8 @@ void AccumulateRowMatMul(const float* x, int k, const float* b, int m,
   // finite; a nonfinite b poisons the product on either path).
   // matrix_test pins dense-with-late-zero against the skip reference
   // byte for byte.
-  bool dense = m >= 4;
-  if (dense) {
-    constexpr int kZeroScanCap = 16;
-    const int scan = k < kZeroScanCap ? k : kZeroScanCap;
-    for (int p = 0; p < scan; ++p) {
-      if (x[p] == 0.0f) {
-        dense = false;
-        break;
-      }
-    }
-  }
-  if (!dense) {
+  if (m < 4) {
+    // Too narrow for a vector lane: the plain skip-if-zero loop.
     for (int p = 0; p < k; ++p) {
       const float av = x[p];
       if (av == 0.0f) continue;
@@ -238,12 +241,37 @@ void AccumulateRowMatMul(const float* x, int k, const float* b, int m,
     }
     return;
   }
-  // Dense path: the runtime-dispatched SIMD tier (AVX2 -> SSE2 ->
+  constexpr int kZeroScanCap = 16;
+  const int scan = k < kZeroScanCap ? k : kZeroScanCap;
+  bool dense = true;
+  for (int p = 0; p < scan; ++p) {
+    if (x[p] == 0.0f) {
+      dense = false;
+      break;
+    }
+  }
+  // Both paths run the runtime-dispatched SIMD tier (AVX2 -> SSE2 ->
   // scalar register-blocked). Every tier adds the same terms to the
   // same accumulators in the same ascending-p order with separate
-  // mul + add instructions, so this is the branchy loop minus its
-  // branches, bit for bit — see tensor/simd.h for the full contract.
-  simd::DenseRowMatMul(x, k, b, m, out_row);
+  // mul + add instructions — see tensor/simd.h for the full contract.
+  if (dense) {
+    simd::DenseRowMatMul(x, k, b, m, out_row);
+    return;
+  }
+  // Skip-if-zero as runs: each maximal run of nonzero x[p] goes to the
+  // dense kernel, which adds exactly the run's terms, per output element
+  // in ascending-p order, one add at a time — the skip loop's arithmetic,
+  // vectorized across j.
+  int p = 0;
+  while (p < k) {
+    while (p < k && x[p] == 0.0f) ++p;
+    const int start = p;
+    while (p < k && x[p] != 0.0f) ++p;
+    if (p > start) {
+      simd::DenseRowMatMul(x + start, p - start,
+                           b + static_cast<size_t>(start) * m, m, out_row);
+    }
+  }
 }
 
 float PointerScoreRow(const float* keys_row, const float* q, const float* v,

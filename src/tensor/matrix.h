@@ -165,14 +165,16 @@ Matrix DualAffineRaw(const Matrix& x, const Matrix& wx, const Matrix& h,
 
 /// out_row += x * b for one row: x is k floats, b is (k, m) row-major,
 /// out_row is m floats, accumulated in the canonical ascending-p order
-/// with the `x[p] == 0` skip. When the first 16 entries of the row carry
-/// no exact zeros — typical for dense hidden activations — the branchy
-/// loop is replaced by the runtime-dispatched SIMD dense kernel
-/// (tensor/simd.h: AVX2 -> SSE2 -> scalar register-blocked); it adds the
+/// with the `x[p] == 0` skip. For m >= 4 the row runs on the
+/// runtime-dispatched SIMD dense kernel (tensor/simd.h: AVX2 -> SSE2 ->
+/// scalar register-blocked): whole when the first 16 entries carry no
+/// exact zeros — typical for dense hidden activations — and otherwise
+/// one call per maximal run of nonzero entries. The kernel adds the
 /// same terms to the same accumulators in the same order with separate
-/// mul + add instructions, so the result is bitwise-identical either way
-/// (a zero past the scan cap contributes a bitwise-neutral +/-0.0 term;
-/// see the parity argument at the definition).
+/// mul + add instructions, so the result is bitwise-identical to the
+/// skip loop either way (a zero past the scan cap contributes a
+/// bitwise-neutral +/-0.0 term; see the parity argument at the
+/// definition).
 void AccumulateRowMatMul(const float* x, int k, const float* b, int m,
                          float* out_row);
 

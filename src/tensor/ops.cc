@@ -46,6 +46,14 @@ Tensor UnaryOp(const Tensor& a, F&& f, DF&& dfn) {
   });
 }
 
+/// g * b^T for a backward pass: MatMulABT's body (transpose, then the
+/// canonical kernel), with b's transpose taken from the per-Backward
+/// cache when b is a parameter leaf.
+Matrix MatMulGradABT(const Matrix& g, const TensorNode* b) {
+  Matrix scratch;
+  return MatMulRaw(g, internal::TransposedValue(b, &scratch));
+}
+
 /// Shared backward for Affine (and MatMul, with bias == nullptr and no
 /// activation): db first, then dx, then dw — the execution order of the
 /// unfused AddRowBroadcast -> MatMul chain it replaces. A grad-disabled
@@ -73,10 +81,111 @@ void AffineBackward(const NodePtr& xn, const NodePtr& wn, TensorNode* bias,
     }
   }
   if (xn->requires_grad) {
-    xn->EnsureGrad().AddInPlace(MatMulABT(*g, wn->value));
+    xn->EnsureGrad().AddInPlace(MatMulGradABT(*g, wn.get()));
   }
   if (wn->requires_grad) {
     wn->EnsureGrad().AddInPlace(MatMulATB(xn->value, *g));
+  }
+}
+
+/// GatAttention's backward: the replaced per-row chain, replayed for
+/// i = n-1 down to 0 with the chain's own float operations. Each "0 + x"
+/// below is a fresh chain node's EnsureGrad() receiving its first
+/// contribution; they are kept so signed zeros match bit for bit.
+void GatAttentionBackward(const NodePtr& sdn, const NodePtr& sen,
+                          const NodePtr& ssn, const NodePtr& mn,
+                          const Matrix& logits, const Matrix& alpha,
+                          const std::vector<bool>& adjacency, float slope,
+                          TensorNode* self) {
+  const Matrix& msg = mn->value;
+  const int n = msg.rows(), dh = msg.cols();
+  const bool scores = sdn->requires_grad || sen->requires_grad ||
+                      ssn->requires_grad;
+  const bool to_add = sdn->requires_grad || sen->requires_grad;
+  Matrix g = Matrix::Uninit(1, dh);        // out_i's grad (ConcatRows)
+  Matrix d_alpha = Matrix::Uninit(1, n);   // alpha_i's grad
+  Matrix d_pre = Matrix::Uninit(1, n);     // the LeakyRelu input's grad
+  Matrix dst_acc(1, n);                    // the (1, n) s_dst row's grad
+  // Every parent that requires grad receives a contribution from row
+  // n-1 already, so resolving the accumulation targets up front
+  // allocates nothing the chain would not have.
+  float* msg_grad = mn->requires_grad ? mn->EnsureGrad().data() : nullptr;
+  float* src_grad = ssn->requires_grad ? ssn->EnsureGrad().data() : nullptr;
+  float* edge_grad = sen->requires_grad ? sen->EnsureGrad().data() : nullptr;
+  const int scan = dh < 16 ? dh : 16;
+  for (int i = n - 1; i >= 0; --i) {
+    const float* gi = self->grad.data() + static_cast<size_t>(i) * dh;
+    for (int c = 0; c < dh; ++c) g[c] = 0.0f + gi[c];
+    const float* a = alpha.data() + static_cast<size_t>(i) * n;
+    if (scores) {
+      // d alpha = g * messages^T, each entry a dot product over c in
+      // ascending order: MatMulABT's row kernel, zero-scan included
+      // (dense when n >= 4 and the first min(dh, 16) entries of g are
+      // nonzero, otherwise skip-if-zero).
+      bool dense = n >= 4;
+      for (int c = 0; dense && c < scan; ++c) dense = g[c] != 0.0f;
+      for (int j = 0; j < n; ++j) {
+        const float* mrow = msg.data() + static_cast<size_t>(j) * dh;
+        float acc = 0.0f;
+        if (dense) {
+          for (int c = 0; c < dh; ++c) acc += g[c] * mrow[c];
+        } else {
+          for (int c = 0; c < dh; ++c) {
+            if (g[c] != 0.0f) acc += g[c] * mrow[c];
+          }
+        }
+        d_alpha[j] = 0.0f + acc;
+      }
+    }
+    if (msg_grad != nullptr) {
+      // messages += alpha_i^T * g (MatMulATB with k = 1: a zero alpha
+      // skips its row product, leaving an exact zero to add).
+      for (int j = 0; j < n; ++j) {
+        float* row = msg_grad + static_cast<size_t>(j) * dh;
+        const float aj = a[j];
+        if (aj == 0.0f) {
+          for (int c = 0; c < dh; ++c) row[c] += 0.0f;
+        } else {
+          for (int c = 0; c < dh; ++c) row[c] += 0.0f + aj * g[c];
+        }
+      }
+    }
+    if (!scores) continue;
+    // MaskedSoftmaxRow: float products summed in double, over the mask.
+    const size_t base = static_cast<size_t>(i) * n;
+    double dot = 0;
+    for (int j = 0; j < n; ++j) {
+      if (adjacency[base + j]) dot += d_alpha[j] * a[j];
+    }
+    // LeakyRelu (its input is > 0 iff its output is, for slope >= 0),
+    // fused with the softmax's fresh-grad write.
+    const float* y = logits.data() + base;
+    for (int j = 0; j < n; ++j) {
+      float dl = 0.0f;
+      if (adjacency[base + j]) {
+        dl += a[j] * (d_alpha[j] - static_cast<float>(dot));
+      }
+      d_pre[j] = 0.0f + dl * (y[j] > 0.0f ? 1.0f : slope);
+    }
+    // AddScalarTensor's scalar side: s_src[i] += 0 + Sum(d_pre).
+    if (src_grad != nullptr) {
+      float sum = 0.0f;
+      for (int j = 0; j < n; ++j) sum += d_pre[j];
+      src_grad[i] += 0.0f + sum;
+    }
+    if (!to_add) continue;
+    // Add: the s_dst row accumulates across rows; the s_edge slice
+    // passes through Transpose and SliceRows (three fresh grads).
+    for (int j = 0; j < n; ++j) {
+      const float d_add = 0.0f + d_pre[j];
+      if (sdn->requires_grad) dst_acc[j] += d_add;
+      if (edge_grad != nullptr) edge_grad[base + j] += 0.0f + (0.0f + d_add);
+    }
+  }
+  // The dropped Transpose: s_dst (n, 1) += its (1, n) row's grad.
+  if (sdn->requires_grad) {
+    float* dst_grad = sdn->EnsureGrad().data();
+    for (int j = 0; j < n; ++j) dst_grad[j] += dst_acc[j];
   }
 }
 
@@ -89,7 +198,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     // Transpose-free: each side is one fused kernel, and a grad-disabled
     // side computes nothing at all.
     if (an->requires_grad) {
-      an->EnsureGrad().AddInPlace(MatMulABT(self->grad, bn->value));
+      an->EnsureGrad().AddInPlace(MatMulGradABT(self->grad, bn.get()));
     }
     if (bn->requires_grad) {
       bn->EnsureGrad().AddInPlace(MatMulATB(an->value, self->grad));
@@ -107,7 +216,7 @@ Tensor MatMulWithValue(const Tensor& a, const Tensor& b,
   return MakeOp(node, {an, bn}, [an, bn](TensorNode* self) {
     // Same backward as MatMul: the hoisting only skips forward kernels.
     if (an->requires_grad) {
-      an->EnsureGrad().AddInPlace(MatMulABT(self->grad, bn->value));
+      an->EnsureGrad().AddInPlace(MatMulGradABT(self->grad, bn.get()));
     }
     if (bn->requires_grad) {
       bn->EnsureGrad().AddInPlace(MatMulATB(an->value, self->grad));
@@ -177,11 +286,108 @@ Tensor DualAffine(const Tensor& x, const Tensor& wx, const Tensor& h,
                     xwn->EnsureGrad().AddInPlace(g);
                   }
                   if (hn->requires_grad) {
-                    hn->EnsureGrad().AddInPlace(MatMulABT(g, whn->value));
+                    hn->EnsureGrad().AddInPlace(
+                        MatMulGradABT(g, whn.get()));
                   }
                   if (whn->requires_grad) {
                     whn->EnsureGrad().AddInPlace(MatMulATB(hn->value, g));
                   }
+                });
+}
+
+Tensor GatherRowsMatMul(const Tensor& a, const std::vector<int>& indices,
+                        const Tensor& w) {
+  const Matrix& av = a.value();
+  const Matrix aw = MatMulRaw(av, w.value());
+  const int m = aw.cols();
+  Matrix out = Matrix::Uninit(static_cast<int>(indices.size()), m);
+  for (size_t r = 0; r < indices.size(); ++r) {
+    M2G_CHECK(indices[r] >= 0 && indices[r] < av.rows());
+    std::copy_n(aw.data() + static_cast<size_t>(indices[r]) * m, m,
+                out.data() + r * m);
+  }
+  NodePtr node = NewNode(std::move(out));
+  NodePtr an = a.node(), wn = w.node();
+  return MakeOp(node, {an, wn}, [an, wn, indices](TensorNode* self) {
+    const Matrix& dy = self->grad;
+    const int d = an->value.cols(), m = dy.cols();
+    const int rows = dy.rows();
+    // The MatMul node's w side, then the GatherRows scatter: the order
+    // the two replaced nodes ran in.
+    if (wn->requires_grad) {
+      // MatMulATB(G, dY) with column i of G gathered from a.
+      Matrix dw(d, m);
+      Matrix col = Matrix::Uninit(1, rows);
+      for (int i = 0; i < d; ++i) {
+        for (int r = 0; r < rows; ++r) {
+          col[static_cast<size_t>(r)] =
+              an->value.data()[static_cast<size_t>(indices[r]) * d + i];
+        }
+        AccumulateRowMatMul(col.data(), rows, dy.data(), m,
+                            dw.data() + static_cast<size_t>(i) * m);
+      }
+      wn->EnsureGrad().AddInPlace(dw);
+    }
+    if (an->requires_grad) {
+      // Row r of dG = dY w^T lands in G's fresh grad (0 + x), which the
+      // gather scatters into a's grad in ascending r.
+      Matrix scratch;
+      const Matrix& wt = internal::TransposedValue(wn.get(), &scratch);
+      Matrix& ag = an->EnsureGrad();
+      Matrix dg = Matrix::Uninit(1, d);
+      for (int r = 0; r < rows; ++r) {
+        dg.SetZero();
+        AccumulateRowMatMul(dy.data() + static_cast<size_t>(r) * m, m,
+                            wt.data(), d, dg.data());
+        float* dst = ag.data() + static_cast<size_t>(indices[r]) * d;
+        for (int c = 0; c < d; ++c) dst[c] += 0.0f + dg[c];
+      }
+    }
+  });
+}
+
+Tensor GatAttention(const Tensor& s_dst, const Tensor& s_edge,
+                    const Tensor& s_src, const Tensor& messages,
+                    const std::vector<bool>& adjacency, float slope) {
+  const Matrix& msg = messages.value();
+  const int n = msg.rows(), dh = msg.cols();
+  const size_t nn = static_cast<size_t>(n) * n;
+  M2G_CHECK_EQ(s_dst.rows(), n);
+  M2G_CHECK_EQ(s_dst.cols(), 1);
+  M2G_CHECK_EQ(s_src.rows(), n);
+  M2G_CHECK_EQ(s_src.cols(), 1);
+  M2G_CHECK_EQ(s_edge.value().size(), nn);
+  M2G_CHECK_EQ(s_edge.cols(), 1);
+  M2G_CHECK_EQ(adjacency.size(), nn);
+  M2G_CHECK_GE(slope, 0.0f);
+  // Training keeps every row's logits and softmax for backward;
+  // inference reuses one row of scratch.
+  const bool keep = GradMode::enabled();
+  const int kept = keep ? n : 1;
+  Matrix logits = Matrix::Uninit(kept, n);
+  Matrix alpha = Matrix::Uninit(kept, n);
+  Matrix out(n, dh);
+  for (int i = 0; i < n; ++i) {
+    const size_t at = keep ? static_cast<size_t>(i) * n : 0;
+    GatLogitsRow(s_dst.value().data(),
+                 s_edge.value().data() + static_cast<size_t>(i) * n,
+                 s_src.value()[static_cast<size_t>(i)], slope, n,
+                 logits.data() + at);
+    MaskedSoftmaxRowRaw(logits.data() + at, adjacency,
+                        static_cast<size_t>(i) * n, n, alpha.data() + at);
+    AccumulateRowMatMul(alpha.data() + at, n, msg.data(), dh,
+                        out.data() + static_cast<size_t>(i) * dh);
+  }
+  NodePtr node = NewNode(std::move(out));
+  if (!keep) return Tensor::FromNode(std::move(node));
+  NodePtr sdn = s_dst.node(), sen = s_edge.node(), ssn = s_src.node(),
+          mn = messages.node();
+  return MakeOp(node, {sdn, sen, ssn, mn},
+                [sdn, sen, ssn, mn, logits = std::move(logits),
+                 alpha = std::move(alpha), adjacency,
+                 slope](TensorNode* self) {
+                  GatAttentionBackward(sdn, sen, ssn, mn, logits, alpha,
+                                       adjacency, slope, self);
                 });
 }
 

@@ -28,9 +28,10 @@ Tensor MatMulWithValue(const Tensor& a, const Tensor& b,
                        const Matrix& value);
 
 /// Fused act(x * w + b): one node replacing the MatMul + AddRowBroadcast
-/// (+ Relu) chain — bitwise-identical values and gradients, no transpose
-/// copies in the backward (MatMulATB / MatMulABT kernels) and no
-/// intermediate graph nodes. `b` may be undefined (pure projection).
+/// (+ Relu) chain — bitwise-identical values and gradients and no
+/// intermediate graph nodes; the backward takes w^T from the
+/// per-Backward transpose cache (internal::TransposedValue). `b` may be
+/// undefined (pure projection).
 Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b,
               Activation act = Activation::kNone);
 
@@ -39,6 +40,38 @@ Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& b,
 /// bitwise-identical values and gradients.
 Tensor DualAffine(const Tensor& x, const Tensor& wx, const Tensor& h,
                   const Tensor& wh, const Tensor& b);
+
+/// GatherRows(a, indices) * w as one node: row r is row indices[r] of
+/// a * w. The forward computes a * w once and gathers its rows, which is
+/// exact because every gathered row product accumulates from zero. The
+/// backward keeps the unfused pair's arithmetic: dW = G^T dY with G's
+/// columns read from `a` through `indices`, then dG = dY w^T row by row,
+/// scattered into a's grad in ascending r. The pair's two nodes were
+/// adjacent in the backward order, so merging them moves no
+/// accumulation (the GAT-e edge update's W4/W5 terms, Eq. 23).
+Tensor GatherRowsMatMul(const Tensor& a, const std::vector<int>& indices,
+                        const Tensor& w);
+
+/// GAT-e attention for one head over all n node rows (Eq. 20-22) as one
+/// node. With s_dst, s_src (n, 1), s_edge (n*n, 1) and messages (n, dh):
+///   out[i] = softmax_{j : adjacency[i*n+j]}(
+///                LeakyRelu((s_dst[j] + s_edge[i*n+j]) + s_src[i]))
+///            * messages
+/// which is the per-row chain Transpose -> SliceRows -> Add ->
+/// AddScalarTensor(Row) -> LeakyRelu -> MaskedSoftmaxRow -> MatMul,
+/// stacked by ConcatRows, with bit-identical values and gradients:
+///   * the parents are listed in the order the chain's backward DFS first
+///     reached them (s_dst, s_edge, s_src, messages), so every node
+///     outside the block keeps its topological slot;
+///   * the backward replays the chain row by row from i = n-1 down to 0
+///     (the chain's reverse-topological order) with its exact float
+///     operations, keeping every gradient accumulation local to the node.
+/// Training saves the logits and softmax rows (n x n each) for backward;
+/// under NoGradGuard nothing is saved. `slope` must be >= 0: the backward
+/// reads the LeakyRelu's sign from its output.
+Tensor GatAttention(const Tensor& s_dst, const Tensor& s_edge,
+                    const Tensor& s_src, const Tensor& messages,
+                    const std::vector<bool>& adjacency, float slope);
 
 /// Elementwise a + b, same shape.
 Tensor Add(const Tensor& a, const Tensor& b);

@@ -214,6 +214,20 @@ __attribute__((target("avx2"))) void DenseRowAvx2(const float* x, int k,
       acc = _mm256_add_ps(acc, _mm256_mul_ps(a3, _mm256_loadu_ps(b3 + j)));
       _mm256_storeu_ps(out_row + j, acc);
     }
+    // One 4-lane step before the scalar tail (dh = 12 leaves 4 columns).
+    if (j + 4 <= m) {
+      __m128 acc = _mm_loadu_ps(out_row + j);
+      acc = _mm_add_ps(acc, _mm_mul_ps(_mm256_castps256_ps128(a0),
+                                       _mm_loadu_ps(b0 + j)));
+      acc = _mm_add_ps(acc, _mm_mul_ps(_mm256_castps256_ps128(a1),
+                                       _mm_loadu_ps(b1 + j)));
+      acc = _mm_add_ps(acc, _mm_mul_ps(_mm256_castps256_ps128(a2),
+                                       _mm_loadu_ps(b2 + j)));
+      acc = _mm_add_ps(acc, _mm_mul_ps(_mm256_castps256_ps128(a3),
+                                       _mm_loadu_ps(b3 + j)));
+      _mm_storeu_ps(out_row + j, acc);
+      j += 4;
+    }
     for (; j < m; ++j) {
       float acc = out_row[j];
       acc += x[p] * b0[j];
@@ -232,6 +246,13 @@ __attribute__((target("avx2"))) void DenseRowAvx2(const float* x, int k,
           out_row + j,
           _mm256_add_ps(_mm256_loadu_ps(out_row + j),
                         _mm256_mul_ps(av, _mm256_loadu_ps(brow + j))));
+    }
+    if (j + 4 <= m) {
+      _mm_storeu_ps(out_row + j,
+                    _mm_add_ps(_mm_loadu_ps(out_row + j),
+                               _mm_mul_ps(_mm256_castps256_ps128(av),
+                                          _mm_loadu_ps(brow + j))));
+      j += 4;
     }
     for (; j < m; ++j) out_row[j] += x[p] * brow[j];
   }

@@ -22,8 +22,11 @@ struct TensorNode {
   std::vector<std::shared_ptr<TensorNode>> parents;
   /// Accumulates this node's grad into its parents' grads.
   std::function<void(TensorNode*)> backward_fn;
-  /// Monotonic creation id, used for a deterministic topological order.
-  uint64_t id = 0;
+  /// Tensor::Backward()'s visited mark: the stamp of the last call whose
+  /// topological sort reached this node. Only op nodes that require
+  /// grad are ever stamped, so leaves shared across threads (parameters)
+  /// are never written.
+  uint64_t visit_stamp = 0;
 
   /// A trainable leaf shared across concurrently built graphs (as opposed
   /// to a thread-private op output).
@@ -81,7 +84,10 @@ class Tensor {
   float item() const;
 
   /// Runs reverse-mode autodiff from this scalar (1x1) tensor. Gradients
-  /// accumulate (+=) into every reachable leaf with requires_grad.
+  /// accumulate (+=) into every reachable leaf with requires_grad. Each
+  /// node's backward runs in the reverse of the DFS post-order over
+  /// parents (in parent order), so the float summation order of every
+  /// gradient is a function of the graph's shape alone.
   void Backward() const;
 
   /// Drops / (re)zeroes the gradient buffer of this leaf.
@@ -101,8 +107,17 @@ class Tensor {
 };
 
 namespace internal {
-/// Allocates a node with a fresh id. Op implementations use this.
+/// Allocates a node holding `value`. Op implementations use this.
 std::shared_ptr<TensorNode> NewNode(Matrix value);
+
+/// TransposeRaw(node->value) for backward kernels. Inside
+/// Tensor::Backward() a parameter leaf's transpose is computed once per
+/// call and cached (a weight used at every LSTM step is transposed once
+/// per sample, not at every use); any other node is
+/// transposed into `scratch`. The cache is freed before Backward()
+/// returns and is private to the calling thread. The returned matrix is
+/// bit-identical to TransposeRaw(node->value) either way.
+const Matrix& TransposedValue(const TensorNode* node, Matrix* scratch);
 }  // namespace internal
 
 }  // namespace m2g

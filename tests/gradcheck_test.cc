@@ -5,20 +5,27 @@
 // once with the pool disabled (plain heap storage). Identical results in
 // both modes is the pool's correctness contract.
 //
-// Also pins the fused-op bitwise contracts: Affine / DualAffine and the
-// transpose-free MatMulATB / MatMulABT kernels must reproduce the exact
-// bits of the op compositions they replaced.
+// Also pins the fused-op bitwise contracts: Affine / DualAffine, the
+// GAT-e training nodes GatAttention / GatherRowsMatMul (and a two-layer
+// GatELayer built on them) and the transpose-free MatMulATB / MatMulABT
+// kernels must reproduce the exact bits of the op compositions they
+// replaced. Those compositions live here as the oracles.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
+#include "core/config.h"
+#include "core/gat_e.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -529,6 +536,287 @@ TEST_P(GradCheckTest, EncodeFastPathRawKernelsBitwiseMatchOps) {
     Matrix alpha = Matrix::Uninit(1, n);
     MaskedSoftmaxRowRaw(logits.data(), mask, base, n, alpha.data());
     ExpectBitEqual(alpha, alpha_ref.value(), "MaskedSoftmaxRowRaw");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// GAT-e training nodes vs the per-row op chain they replaced.
+// ---------------------------------------------------------------------------
+
+/// The per-row attention chain GatELayer::Forward built before
+/// GatAttention: for each row i, Transpose -> SliceRows -> Add ->
+/// AddScalarTensor(Row) -> LeakyRelu -> MaskedSoftmaxRow -> MatMul, then
+/// ConcatRows. `s_dst` is the (n, 1) column; the chain transposed it.
+Tensor UnfusedGatAttention(const Tensor& s_dst, const Tensor& s_edge,
+                           const Tensor& s_src, const Tensor& messages,
+                           const std::vector<bool>& adjacency, float slope) {
+  const int n = messages.rows();
+  Tensor s_dst_row = Transpose(s_dst);
+  std::vector<Tensor> out_rows;
+  for (int i = 0; i < n; ++i) {
+    Tensor s_e_row = Transpose(SliceRows(s_edge, i * n, n));
+    Tensor logits = LeakyRelu(
+        AddScalarTensor(Add(s_dst_row, s_e_row), Row(s_src, i)), slope);
+    std::vector<bool> mask(adjacency.begin() + i * n,
+                           adjacency.begin() + (i + 1) * n);
+    out_rows.push_back(MatMul(MaskedSoftmaxRow(logits, mask), messages));
+  }
+  return ConcatRows(out_rows);
+}
+
+/// Random values in [-2, 2] with about a third exact zeros (and some
+/// -0.0), so masked softmax rows, zero logits and zero-skip paths occur.
+Matrix SparseRandom(int rows, int cols, Rng* rng) {
+  Matrix m = Matrix::Random(rows, cols, -2.0f, 2.0f, rng);
+  for (size_t i = 0; i < m.size(); ++i) {
+    const double u = rng->Uniform(0.0, 1.0);
+    if (u < 0.25) m[i] = 0.0f;
+    else if (u < 0.3) m[i] = -0.0f;
+  }
+  return m;
+}
+
+/// Self-loops everywhere, row 0 self-loop only, other rows random.
+std::vector<bool> RandomAdjacency(int n, Rng* rng) {
+  std::vector<bool> adj(static_cast<size_t>(n) * n, false);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      adj[static_cast<size_t>(i) * n + j] =
+          i == j || (i > 0 && rng->Bernoulli(0.6));
+    }
+  }
+  return adj;
+}
+
+TEST_P(GradCheckTest, GatAttentionBitwiseMatchesUnfusedChain) {
+  Rng rng(41);
+  const float slope = 0.2f;
+  for (int n : {1, 2, 3, 7, 20}) {
+    for (int dh : {1, 3, 12, 20}) {
+      // Which parents are trainable: all, only the scores, only messages.
+      for (int variant = 0; variant < 3; ++variant) {
+        Matrix sdv = SparseRandom(n, 1, &rng);
+        Matrix sev = SparseRandom(n * n, 1, &rng);
+        Matrix ssv = SparseRandom(n, 1, &rng);
+        // Logits of exactly zero from cancelling terms, not only zeros.
+        for (int i = 0; i < n; ++i) {
+          if (rng.Bernoulli(0.3)) sev[static_cast<size_t>(i) * n] = -sdv[0];
+        }
+        Matrix mv = SparseRandom(n, dh, &rng);
+        std::vector<bool> adj = RandomAdjacency(n, &rng);
+        // Loss weights with exact zeros: the incoming gradient has them.
+        Matrix wv = SparseRandom(n, dh, &rng);
+
+        auto make = [&](const Matrix& v, bool trainable) {
+          return trainable ? Tensor::Parameter(v) : Tensor::Constant(v);
+        };
+        const bool scores = variant != 2, msgs = variant != 1;
+        std::vector<Tensor> fused_in = {make(sdv, scores), make(sev, scores),
+                                        make(ssv, scores), make(mv, msgs)};
+        std::vector<Tensor> chain_in = {make(sdv, scores), make(sev, scores),
+                                        make(ssv, scores), make(mv, msgs)};
+        // Two rounds, so the second accumulates into non-empty grads.
+        Tensor fused, chain;
+        for (int round = 0; round < 2; ++round) {
+          fused = GatAttention(fused_in[0], fused_in[1], fused_in[2],
+                               fused_in[3], adj, slope);
+          Sum(Mul(fused, Tensor::Constant(wv))).Backward();
+          chain = UnfusedGatAttention(chain_in[0], chain_in[1], chain_in[2],
+                                      chain_in[3], adj, slope);
+          Sum(Mul(chain, Tensor::Constant(wv))).Backward();
+        }
+        SCOPED_TRACE(StrFormat("n=%d dh=%d variant=%d", n, dh, variant));
+        ExpectBitEqual(fused.value(), chain.value(), "GatAttention forward");
+        const char* names[] = {"d s_dst", "d s_edge", "d s_src",
+                               "d messages"};
+        for (int k = 0; k < 4; ++k) {
+          if (fused_in[k].requires_grad()) {
+            ExpectBitEqual(fused_in[k].grad(), chain_in[k].grad(), names[k]);
+          } else {  // a constant parent gets no gradient on either side
+            EXPECT_TRUE(fused_in[k].grad().empty()) << names[k];
+            EXPECT_TRUE(chain_in[k].grad().empty()) << names[k];
+          }
+        }
+      }
+    }
+  }
+  // Central differences on small graphs (values away from the LeakyRelu
+  // kink: the check's eps would straddle it).
+  for (int n : {1, 2, 3}) {
+    const int dh = 3;
+    std::vector<bool> adj = RandomAdjacency(n, &rng_);
+    auto s = Scalarizer(n, dh);
+    Check({P(RandAwayFromZero(n, 1, 0.5f)), P(Rand(n * n, 1)),
+           P(RandAwayFromZero(n, 1, 0.5f)), P(Rand(n, dh))},
+          [s, adj](const auto& in) {
+            return s(GatAttention(in[0], in[1], in[2], in[3], adj, 0.2f));
+          });
+  }
+}
+
+TEST_P(GradCheckTest, GatherRowsMatMulBitwiseMatchesUnfusedChain) {
+  Rng rng(43);
+  for (int n : {1, 2, 3, 7, 20}) {
+    for (int m : {1, 5, 12}) {
+      const int d = rng.UniformInt(1, 20);
+      // The layer's pair index vectors (both endpoints), and a random
+      // one with duplicates.
+      std::vector<std::vector<int>> index_sets(3);
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+          index_sets[0].push_back(i);
+          index_sets[1].push_back(j);
+        }
+      }
+      for (int r = 0; r < 2 * n + 1; ++r) {
+        index_sets[2].push_back(rng.UniformInt(0, n - 1));
+      }
+      for (const std::vector<int>& idx : index_sets) {
+        Matrix av = SparseRandom(n, d, &rng);
+        Matrix wv = SparseRandom(d, m, &rng);
+        Matrix lw = SparseRandom(static_cast<int>(idx.size()), m, &rng);
+        Tensor a1 = Tensor::Parameter(av), w1 = Tensor::Parameter(wv);
+        Tensor a2 = Tensor::Parameter(av), w2 = Tensor::Parameter(wv);
+        Tensor fused, chain;
+        for (int round = 0; round < 2; ++round) {
+          fused = GatherRowsMatMul(a1, idx, w1);
+          Sum(Mul(fused, Tensor::Constant(lw))).Backward();
+          chain = MatMul(GatherRows(a2, idx), w2);
+          Sum(Mul(chain, Tensor::Constant(lw))).Backward();
+        }
+        SCOPED_TRACE(StrFormat("n=%d d=%d m=%d rows=%zu", n, d, m,
+                               idx.size()));
+        ExpectBitEqual(fused.value(), chain.value(),
+                       "GatherRowsMatMul forward");
+        ExpectBitEqual(a1.grad(), a2.grad(), "GatherRowsMatMul dA");
+        ExpectBitEqual(w1.grad(), w2.grad(), "GatherRowsMatMul dW");
+      }
+    }
+  }
+  const int n = 3, d = Dim(), m = Dim();
+  const std::vector<int> idx = {0, 2, 2, 1, 0};
+  auto s = Scalarizer(static_cast<int>(idx.size()), m);
+  Check({P(Rand(n, d)), P(Rand(d, m))}, [s, idx](const auto& in) {
+    return s(GatherRowsMatMul(in[0], idx, in[1]));
+  });
+}
+
+/// GatELayer::Forward as it was built from per-row op chains before the
+/// fused training nodes, reading the layer's own parameters by name.
+core::GatEOutput PerRowGatELayerForward(const core::GatELayer& layer,
+                                        bool is_last, float slope,
+                                        const Tensor& nodes,
+                                        const Tensor& edges,
+                                        const std::vector<bool>& adjacency) {
+  std::map<std::string, Tensor> param;
+  for (const auto& [name, t] : layer.NamedParameters()) param[name] = t;
+  const int n = nodes.rows();
+  std::vector<int> src_idx, dst_idx;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      src_idx.push_back(i);
+      dst_idx.push_back(j);
+    }
+  }
+  std::vector<Tensor> node_heads, edge_heads;
+  for (int p = 0; p < layer.num_heads(); ++p) {
+    auto w = [&](const char* name) {
+      return param.at(StrFormat("head%d_%s", p, name));
+    };
+    Tensor wh = MatMul(nodes, w("w1"));
+    Tensor s_src = MatMul(wh, w("av_src"));
+    Tensor s_dst = MatMul(wh, w("av_dst"));
+    Tensor s_edge = MatMul(edges, w("ae"));
+    Tensor messages = MatMul(nodes, w("w2"));
+    Tensor head_nodes = UnfusedGatAttention(s_dst, s_edge, s_src, messages,
+                                            adjacency, slope);
+    if (!is_last) head_nodes = Relu(head_nodes);
+    node_heads.push_back(head_nodes);
+    edge_heads.push_back(Relu(
+        Add(MatMul(edges, w("w3")),
+            Add(MatMul(GatherRows(nodes, src_idx), w("w4")),
+                MatMul(GatherRows(nodes, dst_idx), w("w5"))))));
+  }
+  core::GatEOutput out;
+  const float inv = 1.0f / static_cast<float>(layer.num_heads());
+  if (is_last) {
+    Tensor acc = node_heads[0], eacc = edge_heads[0];
+    for (size_t p = 1; p < node_heads.size(); ++p) {
+      acc = Add(acc, node_heads[p]);
+      eacc = Add(eacc, edge_heads[p]);
+    }
+    out.nodes = Relu(Scale(acc, inv));
+    out.edges = Scale(eacc, inv);
+  } else {
+    out.nodes = node_heads[0];
+    out.edges = edge_heads[0];
+    for (size_t p = 1; p < node_heads.size(); ++p) {
+      out.nodes = ConcatCols(out.nodes, node_heads[p]);
+      out.edges = ConcatCols(out.edges, edge_heads[p]);
+    }
+  }
+  return out;
+}
+
+// Two layers with the encoder's residual Adds: every parameter gradient
+// and both input gradients must match the per-row oracle bit for bit.
+// This is what keeps encode_parity_test meaningful now that the fused
+// encode and the training graph share the raw attention kernels.
+TEST_P(GradCheckTest, GatELayerStackBitwiseMatchesPerRowOracle) {
+  core::ModelConfig config;
+  config.hidden_dim = 8;
+  config.num_heads = 2;
+  Rng init(47);
+  core::GatELayer layer0(config, /*is_last=*/false, &init);
+  core::GatELayer layer1(config, /*is_last=*/true, &init);
+  Rng rng(53);
+  for (int n : {1, 3, 7}) {
+    const int d = config.hidden_dim;
+    Matrix hv = SparseRandom(n, d, &rng);
+    Matrix zv = SparseRandom(n * n, d, &rng);
+    Matrix lh = SparseRandom(n, d, &rng);
+    Matrix lz = SparseRandom(n * n, d, &rng);
+    std::vector<bool> adj = RandomAdjacency(n, &rng);
+    auto params = [&] {
+      std::vector<Tensor> all = layer0.Parameters();
+      for (const Tensor& t : layer1.Parameters()) all.push_back(t);
+      return all;
+    };
+    // One pass: both layers, residuals as in EncodeWithGat, a loss over
+    // both outputs. Returns every parameter grad then the input grads.
+    auto run = [&](bool oracle) {
+      for (const Tensor& t : params()) t.ZeroGrad();
+      Tensor h0 = Tensor::Parameter(hv), z0 = Tensor::Parameter(zv);
+      Tensor h = h0, z = z0;
+      int l = 0;
+      for (const core::GatELayer* layer : {&layer0, &layer1}) {
+        core::GatEOutput out =
+            oracle ? PerRowGatELayerForward(*layer, l == 1,
+                                            config.leaky_slope, h, z, adj)
+                   : layer->Forward(h, z, adj);
+        h = Add(h, out.nodes);
+        z = Add(z, out.edges);
+        ++l;
+      }
+      Add(Sum(Mul(h, Tensor::Constant(lh))),
+          Sum(Mul(z, Tensor::Constant(lz))))
+          .Backward();
+      std::vector<Matrix> grads;
+      for (const Tensor& t : params()) grads.push_back(t.grad());
+      grads.push_back(h0.grad());
+      grads.push_back(z0.grad());
+      grads.push_back(h.value());
+      grads.push_back(z.value());
+      return grads;
+    };
+    const std::vector<Matrix> want = run(true);
+    const std::vector<Matrix> got = run(false);
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      SCOPED_TRACE(StrFormat("n=%d item %zu of %zu (last four: dH, dZ, H, Z)",
+                             n, k, want.size()));
+      ExpectBitEqual(got[k], want[k], "GatELayer stack");
+    }
   }
 }
 

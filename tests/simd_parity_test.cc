@@ -148,6 +148,57 @@ TEST_F(SimdParityTest, DenseRowMatMulZeroBeyondScanCapStaysBitwiseNeutral) {
   }
 }
 
+TEST_F(SimdParityTest, ZeroRunPatternsMatchSkipReferenceOnEveryTier) {
+  // Rows with zeros in the scan prefix take the skip path, which hands
+  // each maximal run of nonzero entries to the dense kernel. Every run
+  // shape must reproduce the skip reference byte for byte on every tier:
+  // alternating zeros, a lone zero at p = 0, and nonzero and zero runs
+  // of length 1-5. The b rows under zero entries hold inf, so a zero
+  // term that is not skipped turns the output into NaN.
+  Rng rng(7005);
+  for (int m : {4, 12, 13, 48}) {
+    for (int k : {5, 17, 48}) {
+      std::vector<std::vector<bool>> patterns;  // true = zero at p
+      std::vector<bool> alternating(k), first(k, false);
+      for (int p = 0; p < k; ++p) alternating[p] = p % 2 == 0;
+      first[0] = true;
+      patterns.push_back(alternating);
+      patterns.push_back(first);
+      for (int len = 1; len <= 5; ++len) {
+        std::vector<bool> nonzero_runs(k), zero_runs(k);
+        for (int p = 0; p < k; ++p) {
+          nonzero_runs[p] = p % (len + 1) == 0;  // runs of len nonzeros
+          zero_runs[p] = p % (len + 1) != len;   // runs of len zeros
+        }
+        patterns.push_back(nonzero_runs);
+        patterns.push_back(zero_runs);
+      }
+      for (const std::vector<bool>& zero : patterns) {
+        Matrix x = Matrix::Random(1, k, 0.1f, 1.0f, &rng);
+        Matrix b = Matrix::Random(k, m, -1.0f, 1.0f, &rng);
+        for (int p = 0; p < k; ++p) {
+          if (!zero[p]) continue;
+          x[p] = (p % 3 == 0) ? -0.0f : 0.0f;
+          for (int j = 0; j < m; ++j) {
+            b.At(p, j) = std::numeric_limits<float>::infinity();
+          }
+        }
+        std::vector<float> want(m, 0.5f);
+        ReferenceRow(x.data(), k, b.data(), m, want.data());
+        for (simd::Tier tier : SupportedTiers()) {
+          simd::SetTier(tier);
+          std::vector<float> got(m, 0.5f);
+          AccumulateRowMatMul(x.data(), k, b.data(), m, got.data());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(), m * sizeof(float)),
+                    0)
+              << "tier " << simd::TierName(tier) << " m=" << m
+              << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(SimdParityTest, DenseRowMatMulDenormals) {
   // Denormal operands and products: no tier may flush to zero (the
   // library never touches MXCSR, so FTZ/DAZ stay off).
