@@ -20,61 +20,69 @@ double MsSinceProcessStart(std::chrono::steady_clock::time_point t) {
       .count();
 }
 
-/// Fixed-capacity ring of completed events. A mutex push is fine here:
-/// spans complete a handful of times per multi-millisecond request, and
-/// perfbench's obs.overhead_frac measures the total.
-struct TraceRing {
+/// Fixed-capacity ring of completed records: flat span events, and
+/// finalized trees. A mutex push is fine here: spans complete a handful
+/// of times per multi-millisecond request, and perfbench's
+/// obs.overhead_frac measures the total.
+template <typename T>
+struct RecordRing {
   std::mutex mu;
-  std::vector<TraceEvent> events;
-  size_t capacity = 256;
+  std::vector<T> items;
+  size_t capacity;
   size_t next = 0;
   bool wrapped = false;
 
-  void Push(const TraceEvent& event) {
+  explicit RecordRing(size_t initial_capacity) : capacity(initial_capacity) {}
+
+  void Push(T item) {
     std::lock_guard<std::mutex> lock(mu);
     if (capacity == 0) return;
-    if (events.size() < capacity) {
-      events.push_back(event);
-      next = events.size() % capacity;
-      wrapped = events.size() == capacity && next == 0;
+    if (items.size() < capacity) {
+      items.push_back(std::move(item));
+      next = items.size() % capacity;
+      wrapped = items.size() == capacity && next == 0;
       return;
     }
-    events[next] = event;
+    items[next] = std::move(item);
     next = (next + 1) % capacity;
     wrapped = true;
   }
+
+  void SetCapacity(size_t new_capacity) {
+    std::lock_guard<std::mutex> lock(mu);
+    capacity = new_capacity;
+    items.clear();
+    items.reserve(new_capacity);
+    next = 0;
+    wrapped = false;
+  }
+
+  /// Oldest first.
+  std::vector<T> Snapshot() {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!wrapped) return items;
+    std::vector<T> out;
+    out.reserve(items.size());
+    out.insert(out.end(), items.begin() + next, items.end());
+    out.insert(out.end(), items.begin(), items.begin() + next);
+    return out;
+  }
+
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu);
+    items.clear();
+    next = 0;
+    wrapped = false;
+  }
 };
 
-TraceRing& Ring() {
-  static TraceRing* ring = new TraceRing();
+RecordRing<TraceEvent>& Ring() {
+  static auto* ring = new RecordRing<TraceEvent>(256);
   return *ring;
 }
 
-/// Same shape for finalized trees.
-struct TreeRing {
-  std::mutex mu;
-  std::vector<TraceTree> trees;
-  size_t capacity = 64;
-  size_t next = 0;
-  bool wrapped = false;
-
-  void Push(TraceTree&& tree) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (capacity == 0) return;
-    if (trees.size() < capacity) {
-      trees.push_back(std::move(tree));
-      next = trees.size() % capacity;
-      wrapped = trees.size() == capacity && next == 0;
-      return;
-    }
-    trees[next] = std::move(tree);
-    next = (next + 1) % capacity;
-    wrapped = true;
-  }
-};
-
-TreeRing& Trees() {
-  static TreeRing* ring = new TreeRing();
+RecordRing<TraceTree>& Trees() {
+  static auto* ring = new RecordRing<TraceTree>(64);
   return *ring;
 }
 
@@ -166,73 +174,19 @@ void ResetTraceIds(uint64_t next) {
 
 TraceContext CurrentTraceContext() { return t_trace_ctx; }
 
-void SetTraceRingCapacity(size_t capacity) {
-  TraceRing& ring = Ring();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  ring.capacity = capacity;
-  ring.events.clear();
-  ring.events.reserve(capacity);
-  ring.next = 0;
-  ring.wrapped = false;
-}
+void SetTraceRingCapacity(size_t capacity) { Ring().SetCapacity(capacity); }
 
-std::vector<TraceEvent> RecentTraces() {
-  TraceRing& ring = Ring();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  std::vector<TraceEvent> out;
-  out.reserve(ring.events.size());
-  if (ring.wrapped) {
-    out.insert(out.end(), ring.events.begin() + ring.next,
-               ring.events.end());
-    out.insert(out.end(), ring.events.begin(),
-               ring.events.begin() + ring.next);
-  } else {
-    out = ring.events;
-  }
-  return out;
-}
+std::vector<TraceEvent> RecentTraces() { return Ring().Snapshot(); }
 
-void ClearTraces() {
-  TraceRing& ring = Ring();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  ring.events.clear();
-  ring.next = 0;
-  ring.wrapped = false;
-}
+void ClearTraces() { Ring().Clear(); }
 
 void SetTraceTreeRingCapacity(size_t capacity) {
-  TreeRing& ring = Trees();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  ring.capacity = capacity;
-  ring.trees.clear();
-  ring.trees.reserve(capacity);
-  ring.next = 0;
-  ring.wrapped = false;
+  Trees().SetCapacity(capacity);
 }
 
-std::vector<TraceTree> RecentTraceTrees() {
-  TreeRing& ring = Trees();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  std::vector<TraceTree> out;
-  out.reserve(ring.trees.size());
-  if (ring.wrapped) {
-    out.insert(out.end(), ring.trees.begin() + ring.next,
-               ring.trees.end());
-    out.insert(out.end(), ring.trees.begin(),
-               ring.trees.begin() + ring.next);
-  } else {
-    out = ring.trees;
-  }
-  return out;
-}
+std::vector<TraceTree> RecentTraceTrees() { return Trees().Snapshot(); }
 
-void ClearTraceTrees() {
-  TreeRing& ring = Trees();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  ring.trees.clear();
-  ring.next = 0;
-  ring.wrapped = false;
-}
+void ClearTraceTrees() { Trees().Clear(); }
 
 void TraceSpan::Start(const char* stage, Histogram* hist) {
   stage_ = stage;

@@ -1,11 +1,5 @@
 #include "serve/feature_extractor.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
-
-#include "common/check.h"
-
 namespace m2g::serve {
 
 synth::Sample FeatureExtractor::BuildSample(const RtpRequest& request) const {
@@ -16,55 +10,7 @@ synth::Sample FeatureExtractor::BuildSample(const RtpRequest& request) const {
 
 void FeatureExtractor::BuildSample(const RtpRequest& request,
                                    synth::Sample* out) const {
-  M2G_CHECK(!request.pending.empty());
-  synth::Sample& s = *out;
-  // Reset by clearing each vector rather than assigning a fresh Sample,
-  // so a reused `out` keeps its vector capacity.
-  s.day = 0;
-  s.locations.clear();
-  s.aoi_node_ids.clear();
-  s.loc_to_aoi.clear();
-  s.route_label.clear();
-  s.time_label_min.clear();
-  s.aoi_route_label.clear();
-  s.aoi_time_label_min.clear();
-  s.courier_id = request.courier.id;
-  s.courier = request.courier;
-  s.courier_pos = request.courier_pos;
-  s.query_time_min = request.query_time_min;
-  s.weather = request.weather;
-  s.weekday = request.weekday;
-
-  // Node order: ascending order id, exactly like the offline snapshots.
-  std::vector<const synth::Order*> by_id;
-  by_id.reserve(request.pending.size());
-  for (const synth::Order& o : request.pending) by_id.push_back(&o);
-  std::sort(by_id.begin(), by_id.end(),
-            [](const synth::Order* a, const synth::Order* b) {
-              return a->id < b->id;
-            });
-
-  std::set<int> distinct_aois;
-  for (const synth::Order* o : by_id) distinct_aois.insert(o->aoi_id);
-  s.aoi_node_ids.assign(distinct_aois.begin(), distinct_aois.end());
-  std::map<int, int> aoi_to_node;
-  for (size_t k = 0; k < s.aoi_node_ids.size(); ++k) {
-    aoi_to_node[s.aoi_node_ids[k]] = static_cast<int>(k);
-  }
-
-  for (const synth::Order* o : by_id) {
-    synth::LocationTask task;
-    task.order_id = o->id;
-    task.pos = o->pos;
-    task.aoi_id = o->aoi_id;
-    task.aoi_type = static_cast<int>(world_->aoi(o->aoi_id).type);
-    task.accept_time_min = o->accept_time_min;
-    task.deadline_min = o->deadline_min;
-    task.dist_from_courier_m =
-        geo::ApproxMeters(request.courier_pos, o->pos);
-    s.locations.push_back(task);
-    s.loc_to_aoi.push_back(aoi_to_node[o->aoi_id]);
-  }
+  synth::ExtractFeatures(*world_, request, out);
 }
 
 }  // namespace m2g::serve

@@ -1,27 +1,17 @@
 #ifndef M2G_SERVE_FEATURE_EXTRACTOR_H_
 #define M2G_SERVE_FEATURE_EXTRACTOR_H_
 
-#include <vector>
-
 #include "synth/dataset.h"
 
 namespace m2g::serve {
 
-/// A live RTP request, as the Figure 7 Feature Extraction Layer receives
-/// it: the courier's identity and position, the wall clock, the context,
-/// and the raw unvisited orders. No labels — this is the online path.
-struct RtpRequest {
-  synth::CourierProfile courier;
-  geo::LatLng courier_pos;
-  double query_time_min = 0;
-  int weather = 0;
-  int weekday = 0;
-  std::vector<synth::Order> pending;
-};
+using RtpRequest = synth::RtpRequest;
 
-/// Figure 7 "Feature Extraction Layer": resolves the request into the
-/// model-facing Sample (node ordering, AOI node set, distances, AOI
-/// types). The returned sample has empty labels.
+/// Figure 7 "Feature Extraction Layer": resolves a live request into the
+/// model-facing Sample through synth::ExtractFeatures, the same feature
+/// builder the offline dataset's snapshots go through, so a served sample
+/// and a training sample of the same trip state are byte-identical. The
+/// returned sample has empty labels.
 class FeatureExtractor {
  public:
   explicit FeatureExtractor(const synth::World* world) : world_(world) {}

@@ -2,11 +2,6 @@
 
 namespace m2g::serve {
 
-double GraphBuilder::Distance(const geo::LatLng& a,
-                              const geo::LatLng& b) const {
-  return geo::ApproxMeters(a, b);
-}
-
 graph::MultiLevelGraph GraphBuilder::Build(
     const synth::Sample& sample) const {
   return graph::BuildMultiLevelGraph(sample, config_);

@@ -5,17 +5,14 @@
 
 namespace m2g::serve {
 
-/// Figure 7 "Graph Builder": the distance tool plus multi-level graph
-/// construction over the extracted features. Thin facade over the graph
-/// module so the online and offline paths provably share one code path.
+/// Figure 7 "Graph Builder": multi-level graph construction over the
+/// extracted features. Thin facade over the graph module so the online
+/// and offline paths provably share one code path.
 class GraphBuilder {
  public:
   explicit GraphBuilder(const graph::GraphConfig& config)
       : config_(config) {}
   GraphBuilder() : GraphBuilder(graph::GraphConfig{}) {}
-
-  /// Distance tool used throughout the online pipeline (meters).
-  double Distance(const geo::LatLng& a, const geo::LatLng& b) const;
 
   graph::MultiLevelGraph Build(const synth::Sample& sample) const;
 

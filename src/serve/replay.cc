@@ -29,22 +29,9 @@ std::vector<RtpRequest> ReplayTrip(const synth::TripRecord& trip,
                                    const synth::CourierProfile& courier) {
   std::vector<RtpRequest> requests;
   const int total = static_cast<int>(trip.served.size());
+  requests.reserve(total);
   for (int prefix = 0; prefix < total; ++prefix) {
-    RtpRequest req;
-    req.courier = courier;
-    req.weather = trip.weather;
-    req.weekday = trip.weekday;
-    if (prefix == 0) {
-      req.courier_pos = trip.start_pos;
-      req.query_time_min = trip.start_time_min;
-    } else {
-      req.courier_pos = trip.served[prefix - 1].order.pos;
-      req.query_time_min = trip.served[prefix - 1].departure_time_min;
-    }
-    for (int j = prefix; j < total; ++j) {
-      req.pending.push_back(trip.served[j].order);
-    }
-    requests.push_back(std::move(req));
+    requests.push_back(synth::TripRequest(trip, courier, prefix));
   }
   return requests;
 }

@@ -14,9 +14,9 @@ namespace m2g::serve {
 RtpRequest RequestFromSample(const synth::Sample& sample);
 
 /// All requests a trip generates if the app re-queries after every
-/// pick-up: element 0 is the trip start (all orders pending), element i
-/// has the first i orders already served, with the clock and courier
-/// position advanced to the realized values.
+/// pick-up: element i is synth::TripRequest(trip, courier, i), the trip
+/// state after its first i orders (0 = trip start, all orders pending)
+/// that the offline dataset's snapshots are also built from.
 std::vector<RtpRequest> ReplayTrip(const synth::TripRecord& trip,
                                    const synth::CourierProfile& courier);
 

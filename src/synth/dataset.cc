@@ -2,90 +2,122 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "common/check.h"
 
 namespace m2g::synth {
 
-bool SnapshotFromTrip(const TripRecord& trip, const CourierProfile& courier,
-                      int served_prefix, const DataConfig& config,
-                      Sample* out) {
+void ExtractFeatures(const World& world, const RtpRequest& request,
+                     Sample* out) {
+  M2G_CHECK(!request.pending.empty());
+  Sample& s = *out;
+  // Reset by clearing each vector rather than assigning a fresh Sample,
+  // so a reused `out` keeps its vector capacity.
+  s.day = 0;
+  s.locations.clear();
+  s.aoi_node_ids.clear();
+  s.loc_to_aoi.clear();
+  s.route_label.clear();
+  s.time_label_min.clear();
+  s.aoi_route_label.clear();
+  s.aoi_time_label_min.clear();
+  s.courier_id = request.courier.id;
+  s.courier = request.courier;
+  s.courier_pos = request.courier_pos;
+  s.query_time_min = request.query_time_min;
+  s.weather = request.weather;
+  s.weekday = request.weekday;
+
+  // Node order: ascending order id, model-agnostic, so no model can read
+  // the label order off the input ordering.
+  std::vector<const Order*> by_id;
+  by_id.reserve(request.pending.size());
+  for (const Order& o : request.pending) by_id.push_back(&o);
+  std::sort(by_id.begin(), by_id.end(), [](const Order* a, const Order* b) {
+    return a->id < b->id;
+  });
+
+  // AOI nodes: the distinct AOI ids, ascending.
+  for (const Order* o : by_id) s.aoi_node_ids.push_back(o->aoi_id);
+  std::sort(s.aoi_node_ids.begin(), s.aoi_node_ids.end());
+  s.aoi_node_ids.erase(
+      std::unique(s.aoi_node_ids.begin(), s.aoi_node_ids.end()),
+      s.aoi_node_ids.end());
+
+  for (const Order* o : by_id) {
+    LocationTask task;
+    task.order_id = o->id;
+    task.pos = o->pos;
+    task.aoi_id = o->aoi_id;
+    task.aoi_type = static_cast<int>(world.aoi(o->aoi_id).type);
+    task.accept_time_min = o->accept_time_min;
+    task.deadline_min = o->deadline_min;
+    task.dist_from_courier_m = geo::ApproxMeters(request.courier_pos, o->pos);
+    s.locations.push_back(task);
+    s.loc_to_aoi.push_back(static_cast<int>(
+        std::lower_bound(s.aoi_node_ids.begin(), s.aoi_node_ids.end(),
+                         o->aoi_id) -
+        s.aoi_node_ids.begin()));
+  }
+}
+
+RtpRequest TripRequest(const TripRecord& trip, const CourierProfile& courier,
+                       int served_prefix) {
   const int total = static_cast<int>(trip.served.size());
   M2G_CHECK(served_prefix >= 0 && served_prefix < total);
-  const int n = total - served_prefix;
-  if (n < config.min_locations || n > config.max_locations) return false;
-
-  Sample s;
-  s.courier_id = trip.courier_id;
-  s.day = trip.day;
-  s.weekday = trip.weekday;
-  s.weather = trip.weather;
-  s.courier = courier;
+  RtpRequest req;
+  req.courier = courier;
+  req.weather = trip.weather;
+  req.weekday = trip.weekday;
   if (served_prefix == 0) {
-    s.query_time_min = trip.start_time_min;
-    s.courier_pos = trip.start_pos;
+    req.courier_pos = trip.start_pos;
+    req.query_time_min = trip.start_time_min;
   } else {
-    s.query_time_min = trip.served[served_prefix - 1].departure_time_min;
-    s.courier_pos = trip.served[served_prefix - 1].order.pos;
+    req.courier_pos = trip.served[served_prefix - 1].order.pos;
+    req.query_time_min = trip.served[served_prefix - 1].departure_time_min;
   }
-
-  // Unvisited locations, indexed by order id for a model-agnostic node
-  // ordering (so no model can cheat by reading the label order off the
-  // input ordering).
-  std::vector<const ServedOrder*> future;
+  req.pending.reserve(total - served_prefix);
   for (int j = served_prefix; j < total; ++j) {
-    future.push_back(&trip.served[j]);
+    req.pending.push_back(trip.served[j].order);
   }
-  std::vector<const ServedOrder*> by_id = future;
-  std::sort(by_id.begin(), by_id.end(),
-            [](const ServedOrder* a, const ServedOrder* b) {
-              return a->order.id < b->order.id;
-            });
+  return req;
+}
 
-  std::map<int, int> order_to_node;
-  std::set<int> distinct_aois;
-  for (const ServedOrder* so : by_id) {
-    distinct_aois.insert(so->order.aoi_id);
-  }
-  if (static_cast<int>(distinct_aois.size()) > config.max_aois) {
-    return false;
-  }
-  s.aoi_node_ids.assign(distinct_aois.begin(), distinct_aois.end());
-  std::map<int, int> aoi_to_node;
-  for (size_t k = 0; k < s.aoi_node_ids.size(); ++k) {
-    aoi_to_node[s.aoi_node_ids[k]] = static_cast<int>(k);
-  }
+bool SnapshotFromTrip(const World& world, const TripRecord& trip,
+                      const CourierProfile& courier, int served_prefix,
+                      const DataConfig& config, Sample* out) {
+  const int n = static_cast<int>(trip.served.size()) - served_prefix;
+  M2G_CHECK(served_prefix >= 0 && n > 0);
+  if (n < config.min_locations || n > config.max_locations) return false;
+  const RtpRequest req = TripRequest(trip, courier, served_prefix);
+  Sample s;
+  ExtractFeatures(world, req, &s);
+  if (s.num_aois() > config.max_aois) return false;
+  s.day = trip.day;
 
-  for (const ServedOrder* so : by_id) {
-    LocationTask task;
-    task.order_id = so->order.id;
-    task.pos = so->order.pos;
-    task.aoi_id = so->order.aoi_id;
-    task.aoi_type = 0;  // filled by caller if a world is available
-    task.accept_time_min = so->order.accept_time_min;
-    task.deadline_min = so->order.deadline_min;
-    task.dist_from_courier_m = geo::ApproxMeters(s.courier_pos, so->order.pos);
-    order_to_node[so->order.id] = static_cast<int>(s.locations.size());
-    s.locations.push_back(task);
-    s.loc_to_aoi.push_back(aoi_to_node[so->order.aoi_id]);
-  }
-
-  // Route and time labels from the realized service order.
-  s.time_label_min.assign(s.locations.size(), 0.0);
-  s.aoi_time_label_min.assign(s.aoi_node_ids.size(), 0.0);
-  std::vector<bool> aoi_seen(s.aoi_node_ids.size(), false);
-  for (const ServedOrder* so : future) {
-    const int node = order_to_node[so->order.id];
+  // Route and time labels from the realized service order; `locations`
+  // is sorted by order id.
+  s.time_label_min.assign(n, 0.0);
+  s.aoi_time_label_min.assign(s.num_aois(), 0.0);
+  std::vector<bool> aoi_seen(s.num_aois(), false);
+  for (int j = 0; j < n; ++j) {
+    const ServedOrder& so = trip.served[served_prefix + j];
+    const int node = static_cast<int>(
+        std::lower_bound(s.locations.begin(), s.locations.end(),
+                         so.order.id,
+                         [](const LocationTask& t, int id) {
+                           return t.order_id < id;
+                         }) -
+        s.locations.begin());
+    const double gap = so.arrival_time_min - s.query_time_min;
     s.route_label.push_back(node);
-    s.time_label_min[node] = so->arrival_time_min - s.query_time_min;
-    const int aoi_node = aoi_to_node[so->order.aoi_id];
+    s.time_label_min[node] = gap;
+    const int aoi_node = s.loc_to_aoi[node];
     if (!aoi_seen[aoi_node]) {
       aoi_seen[aoi_node] = true;
       s.aoi_route_label.push_back(aoi_node);
       // Paper: AOI arrival time = arrival at the first location in it.
-      s.aoi_time_label_min[aoi_node] =
-          so->arrival_time_min - s.query_time_min;
+      s.aoi_time_label_min[aoi_node] = gap;
     }
   }
   *out = std::move(s);
@@ -156,10 +188,7 @@ DatasetSplits SplitAndSnapshot(const DataConfig& config,
 
     auto add_snapshot = [&](int prefix) {
       Sample s;
-      if (SnapshotFromTrip(trip, courier, prefix, config, &s)) {
-        for (LocationTask& task : s.locations) {
-          task.aoi_type = static_cast<int>(world.aoi(task.aoi_id).type);
-        }
+      if (SnapshotFromTrip(world, trip, courier, prefix, config, &s)) {
         target->samples.push_back(std::move(s));
       }
     };

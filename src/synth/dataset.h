@@ -81,12 +81,42 @@ struct DataConfig {
   int max_aois = 10;
 };
 
-/// Extracts a Sample from a trip at the moment the first `served_prefix`
-/// orders are done (0 = trip start). Returns false (and leaves `out`
-/// untouched) if the snapshot violates the size filters.
-bool SnapshotFromTrip(const TripRecord& trip, const CourierProfile& courier,
-                      int served_prefix, const DataConfig& config,
-                      Sample* out);
+/// An RTP request as the Figure 7 Feature Extraction Layer receives it:
+/// the courier's identity and position, the wall clock, the context, and
+/// the raw unvisited orders. No labels. Offline snapshots and live
+/// serving requests both reach the model through this type.
+struct RtpRequest {
+  CourierProfile courier;
+  geo::LatLng courier_pos;
+  double query_time_min = 0;
+  int weather = 0;
+  int weekday = 0;
+  std::vector<Order> pending;
+};
+
+/// The feature builder (Figure 7 "Feature Extraction"), shared by the
+/// dataset and by serve::FeatureExtractor: resolves `request` into the
+/// model-facing sample — node order by ascending order id, the AOI node
+/// set and `loc_to_aoi`, AOI types from `world`, distances from the
+/// courier. Labels come out empty and `day` 0. Builds into `*out` in
+/// place, clearing its vectors but keeping their capacity; `out` must not
+/// alias `request`, and `request.pending` must not be empty.
+void ExtractFeatures(const World& world, const RtpRequest& request,
+                     Sample* out);
+
+/// The request `trip` poses once its first `served_prefix` orders are
+/// done (0 = trip start): the realized clock and courier position at that
+/// moment, and the unserved suffix of orders in service order.
+RtpRequest TripRequest(const TripRecord& trip, const CourierProfile& courier,
+                       int served_prefix);
+
+/// A training sample: TripRequest, then ExtractFeatures, then the trip's
+/// day and the route/time labels of the realized service order. Returns
+/// false (and leaves `out` untouched) if the snapshot violates the size
+/// filters.
+bool SnapshotFromTrip(const World& world, const TripRecord& trip,
+                      const CourierProfile& courier, int served_prefix,
+                      const DataConfig& config, Sample* out);
 
 /// Simulates the whole city for `config.num_days` and splits by day.
 DatasetSplits BuildDataset(const DataConfig& config);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "feature_equality.h"
 #include "serve/replay.h"
 #include "synth/analysis.h"
 
@@ -112,16 +113,48 @@ TEST(SweepStatsTest, SimulatedSweepsAreNearComplete) {
 TEST(ReplayTest, RequestFromSampleRoundTripsThroughExtractor) {
   synth::BuiltWorld built = synth::BuildWorldAndDataset(SmallConfig());
   ASSERT_GT(built.splits.test.size(), 0);
-  const synth::Sample& offline = built.splits.test.samples.front();
   serve::FeatureExtractor extractor(&built.world);
-  synth::Sample online =
-      extractor.BuildSample(serve::RequestFromSample(offline));
-  ASSERT_EQ(online.num_locations(), offline.num_locations());
-  for (int i = 0; i < online.num_locations(); ++i) {
-    EXPECT_EQ(online.locations[i].order_id,
-              offline.locations[i].order_id);
+  for (const synth::Dataset* split :
+       {&built.splits.train, &built.splits.val, &built.splits.test}) {
+    for (const synth::Sample& offline : split->samples) {
+      const synth::Sample online =
+          extractor.BuildSample(serve::RequestFromSample(offline));
+      testutil::ExpectSameSample(online, testutil::WithoutLabels(offline));
+    }
   }
-  EXPECT_EQ(online.loc_to_aoi, offline.loc_to_aoi);
+}
+
+TEST(ReplayTest, ReplayTripMatchesSnapshotAtEveryPrefix) {
+  // Offline snapshots and the requests a live trip replay sends must give
+  // the same sample at every prefix, mid-trip ones included.
+  const synth::DataConfig config = SmallConfig();
+  synth::World world(synth::WorldConfig{}, {});
+  std::vector<synth::CourierProfile> couriers;
+  const auto trips = synth::SimulateAllTrips(config, &world, &couriers);
+  serve::FeatureExtractor extractor(&world);
+  int compared = 0;
+  int mid_trip = 0;
+  for (const synth::TripRecord& trip : trips) {
+    const synth::CourierProfile& courier = couriers[trip.courier_id];
+    const std::vector<serve::RtpRequest> requests =
+        serve::ReplayTrip(trip, courier);
+    for (int p = 0; p < static_cast<int>(trip.served.size()); ++p) {
+      synth::Sample offline;
+      offline.day = -1;
+      if (!synth::SnapshotFromTrip(world, trip, courier, p, config,
+                                   &offline)) {
+        EXPECT_EQ(offline.day, -1);  // untouched on false
+        EXPECT_TRUE(offline.locations.empty());
+        continue;
+      }
+      testutil::ExpectSameSample(extractor.BuildSample(requests[p]),
+                                 testutil::WithoutLabels(offline));
+      ++compared;
+      if (p > 0) ++mid_trip;
+    }
+  }
+  EXPECT_GT(compared, 100);
+  EXPECT_GT(mid_trip, 50);
 }
 
 TEST(ReplayTest, ReplayTripProducesShrinkingRequests) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/trainer.h"
+#include "feature_equality.h"
 #include "obs/admin_server.h"
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -65,25 +66,6 @@ struct ServeFixture {
     core::Trainer trainer(model.get(), tc);
     trainer.Fit(built.splits.train, built.splits.val);
   }
-
-  RtpRequest RequestFromSample(const synth::Sample& s) const {
-    RtpRequest req;
-    req.courier = s.courier;
-    req.courier_pos = s.courier_pos;
-    req.query_time_min = s.query_time_min;
-    req.weather = s.weather;
-    req.weekday = s.weekday;
-    for (const synth::LocationTask& task : s.locations) {
-      synth::Order o;
-      o.id = task.order_id;
-      o.pos = task.pos;
-      o.aoi_id = task.aoi_id;
-      o.accept_time_min = task.accept_time_min;
-      o.deadline_min = task.deadline_min;
-      req.pending.push_back(o);
-    }
-    return req;
-  }
 };
 
 ServeFixture* Fixture() {
@@ -93,23 +75,13 @@ ServeFixture* Fixture() {
 
 TEST(FeatureExtractorTest, ReconstructsOfflineSampleExactly) {
   // The online feature path must produce the same sample the offline
-  // snapshot pipeline produced (minus labels).
+  // snapshot pipeline produced (minus labels), bit for bit.
   ServeFixture* f = Fixture();
   FeatureExtractor extractor(&f->built.world);
   const synth::Sample& offline = f->built.splits.test.samples.front();
-  synth::Sample online =
-      extractor.BuildSample(f->RequestFromSample(offline));
-  ASSERT_EQ(online.num_locations(), offline.num_locations());
-  ASSERT_EQ(online.num_aois(), offline.num_aois());
-  EXPECT_EQ(online.loc_to_aoi, offline.loc_to_aoi);
-  EXPECT_EQ(online.aoi_node_ids, offline.aoi_node_ids);
-  for (int i = 0; i < online.num_locations(); ++i) {
-    EXPECT_EQ(online.locations[i].order_id, offline.locations[i].order_id);
-    EXPECT_EQ(online.locations[i].aoi_type, offline.locations[i].aoi_type);
-    EXPECT_NEAR(online.locations[i].dist_from_courier_m,
-                offline.locations[i].dist_from_courier_m, 1e-6);
-  }
+  synth::Sample online = extractor.BuildSample(RequestFromSample(offline));
   EXPECT_TRUE(online.route_label.empty());  // no labels online
+  testutil::ExpectSameSample(online, testutil::WithoutLabels(offline));
 }
 
 TEST(GraphBuilderTest, OnlineGraphMatchesOffline) {
@@ -118,7 +90,7 @@ TEST(GraphBuilderTest, OnlineGraphMatchesOffline) {
   GraphBuilder builder;
   const synth::Sample& offline = f->built.splits.test.samples.front();
   synth::Sample online =
-      extractor.BuildSample(f->RequestFromSample(offline));
+      extractor.BuildSample(RequestFromSample(offline));
   graph::MultiLevelGraph og =
       graph::BuildMultiLevelGraph(offline, builder.config());
   graph::MultiLevelGraph ng = builder.Build(online);
@@ -134,7 +106,7 @@ TEST(RtpServiceTest, HandleServesJointPrediction) {
   ServeFixture* f = Fixture();
   RtpService service(&f->built.world, f->model.get());
   const synth::Sample& s = f->built.splits.test.samples.front();
-  RtpService::Response response = service.Handle(f->RequestFromSample(s));
+  RtpService::Response response = service.Handle(RequestFromSample(s));
   EXPECT_EQ(static_cast<int>(response.prediction.location_route.size()),
             s.num_locations());
   EXPECT_EQ(service.requests_served(), 1);
@@ -147,7 +119,7 @@ TEST(RtpServiceTest, OnlinePredictionMatchesOfflinePrediction) {
   RtpService service(&f->built.world, f->model.get());
   const synth::Sample& s = f->built.splits.test.samples.front();
   core::RtpPrediction offline = f->model->Predict(s);
-  RtpService::Response online = service.Handle(f->RequestFromSample(s));
+  RtpService::Response online = service.Handle(RequestFromSample(s));
   EXPECT_EQ(online.prediction.location_route, offline.location_route);
   EXPECT_EQ(online.prediction.aoi_route, offline.aoi_route);
 }
@@ -162,7 +134,7 @@ TEST(RtpServiceTest, PlainHandleSteadyStateIsMallocFree) {
   const auto& samples = f->built.splits.test.samples;
   std::vector<RtpRequest> requests;
   for (size_t i = 0; i < samples.size() && i < 8; ++i) {
-    requests.push_back(f->RequestFromSample(samples[i]));
+    requests.push_back(RequestFromSample(samples[i]));
   }
   ASSERT_GE(requests.size(), 2u);
   constexpr int kPasses = 2;
@@ -193,7 +165,7 @@ TEST(OrderSortingServiceTest, RanksEveryPendingOrderOnce) {
   RtpService service(&f->built.world, f->model.get());
   OrderSortingService sorting(&service);
   const synth::Sample& s = f->built.splits.test.samples.front();
-  auto sorted = sorting.Sort(f->RequestFromSample(s));
+  auto sorted = sorting.Sort(RequestFromSample(s));
   ASSERT_EQ(static_cast<int>(sorted.size()), s.num_locations());
   std::vector<int> ids;
   for (size_t i = 0; i < sorted.size(); ++i) {
@@ -209,7 +181,7 @@ TEST(EtaServiceTest, EtasAlignWithRouteRanks) {
   RtpService service(&f->built.world, f->model.get());
   EtaService eta(&service);
   const synth::Sample& s = f->built.splits.test.samples.front();
-  auto etas = eta.Estimate(f->RequestFromSample(s));
+  auto etas = eta.Estimate(RequestFromSample(s));
   ASSERT_EQ(static_cast<int>(etas.size()), s.num_locations());
   for (const auto& e : etas) {
     EXPECT_GE(e.eta_minutes, 0.0);
@@ -225,7 +197,7 @@ TEST(EtaServiceTest, NotifyFiresOnlyWithinThreshold) {
   config.notify_within_minutes = 15.0;
   EtaService eta(&service, config);
   const synth::Sample& s = f->built.splits.test.samples.front();
-  for (const auto& e : eta.Estimate(f->RequestFromSample(s))) {
+  for (const auto& e : eta.Estimate(RequestFromSample(s))) {
     EXPECT_EQ(e.notify_user, e.eta_minutes <= 15.0);
   }
 }
@@ -235,7 +207,7 @@ TEST(EtaServiceTest, EstimateOrderFindsAndRejects) {
   RtpService service(&f->built.world, f->model.get());
   EtaService eta(&service);
   const synth::Sample& s = f->built.splits.test.samples.front();
-  RtpRequest req = f->RequestFromSample(s);
+  RtpRequest req = RequestFromSample(s);
   auto found = eta.EstimateOrder(req, s.locations[0].order_id);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found.value().order_id, s.locations[0].order_id);
@@ -305,7 +277,7 @@ TEST(RtpServiceBatchingTest, BatchedHandleMatchesUnbatchedBitwise) {
   {
     NoGradGuard no_grad;
     for (int i = 0; i < kDistinct; ++i) {
-      requests.push_back(f->RequestFromSample(samples[i]));
+      requests.push_back(RequestFromSample(samples[i]));
       want.push_back(f->model->Predict(samples[i]));
     }
   }
@@ -358,7 +330,7 @@ TEST(RtpServiceBatchingTest, ConcurrentStressZeroSteadyStateMisses) {
   // zero pool misses across the whole steady phase.
   ServeFixture* f = Fixture();
   const synth::Sample& sample = f->built.splits.test.samples.front();
-  const RtpRequest request = f->RequestFromSample(sample);
+  const RtpRequest request = RequestFromSample(sample);
 
   ServingConfig config;
   config.batching_enabled = true;
@@ -426,7 +398,7 @@ TEST(ModelRegistryTest, PublishBumpsVersionAndTagsResponses) {
 
   RtpService service(&f->built.world, &registry, ServingConfig());
   const synth::Sample& s = f->built.splits.test.samples.front();
-  RtpService::Response before = service.Handle(f->RequestFromSample(s));
+  RtpService::Response before = service.Handle(RequestFromSample(s));
   EXPECT_EQ(before.model_version, 7);
 
   // Publish the same weights reloaded through Save/Load: version must
@@ -439,7 +411,7 @@ TEST(ModelRegistryTest, PublishBumpsVersionAndTagsResponses) {
   EXPECT_EQ(registry.version(), 8);
   EXPECT_EQ(registry.swap_count(), 1u);
 
-  RtpService::Response after = service.Handle(f->RequestFromSample(s));
+  RtpService::Response after = service.Handle(RequestFromSample(s));
   EXPECT_EQ(after.model_version, 8);
   ExpectPredictionBitwiseEq(after.prediction, before.prediction);
 
@@ -480,7 +452,7 @@ TEST(ModelRegistryTest, SwapUnderConcurrentBatchedLoadDropsNothing) {
   {
     NoGradGuard no_grad;
     for (int i = 0; i < kDistinct; ++i) {
-      requests.push_back(f->RequestFromSample(samples[i]));
+      requests.push_back(RequestFromSample(samples[i]));
       want.push_back(f->model->Predict(samples[i]));
     }
   }
@@ -564,7 +536,7 @@ TEST(ModelRegistryTest, SwapToDifferentWeightsUnderBatchedLoadMatchesVersion) {
   {
     NoGradGuard no_grad;
     for (int i = 0; i < kDistinct; ++i) {
-      requests.push_back(f->RequestFromSample(samples[i]));
+      requests.push_back(RequestFromSample(samples[i]));
       want_initial.push_back(initial->Predict(samples[i]));
       want_other.push_back(other->Predict(samples[i]));
       weights_matter =
@@ -639,7 +611,7 @@ TEST(TelemetryTest, ServingExportsCoverEveryStageAndCounter) {
   std::vector<RtpRequest> requests;
   const auto& samples = f->built.splits.test.samples;
   for (size_t i = 0; i < samples.size() && i < 6; ++i) {
-    requests.push_back(f->RequestFromSample(samples[i]));
+    requests.push_back(RequestFromSample(samples[i]));
   }
   ASSERT_FALSE(requests.empty());
   ConcurrentReplayResult replay =
@@ -724,7 +696,7 @@ TEST(ModelRegistryTest, WideEventsPairVersionWithItsBeamWidthUnderSwap) {
   const auto& samples = f->built.splits.test.samples;
   std::vector<RtpRequest> requests;
   for (size_t i = 0; i < samples.size() && i < 4; ++i) {
-    requests.push_back(f->RequestFromSample(samples[i]));
+    requests.push_back(RequestFromSample(samples[i]));
   }
   ASSERT_FALSE(requests.empty());
 
@@ -806,7 +778,7 @@ TEST(BatchTracingTest, BatchedMembersRecordOwnStagesOnOwnThreads) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const RtpRequest req =
-          f->RequestFromSample(samples[t % samples.size()]);
+          RequestFromSample(samples[t % samples.size()]);
       sync.arrive_and_wait();
       service.Handle(req);
     });
@@ -981,7 +953,7 @@ TEST(AdminServerUnderLoadTest, ScrapesStayValidWhileBatchedServing) {
   for (int t = 0; t < kServers; ++t) {
     servers.emplace_back([&, t] {
       const RtpRequest req =
-          f->RequestFromSample(samples[t % samples.size()]);
+          RequestFromSample(samples[t % samples.size()]);
       for (int r = 0; r < kRounds; ++r) service.Handle(req);
     });
   }
@@ -1017,7 +989,7 @@ TEST(EncodeSessionTest, SessionHandleMatchesStatelessBitwise) {
   RtpService stateless(&f->built.world, f->model.get());
   ASSERT_NE(service.session_store(), nullptr);
 
-  const RtpRequest full = f->RequestFromSample(*sample);
+  const RtpRequest full = RequestFromSample(*sample);
   for (int count = 2; count <= static_cast<int>(full.pending.size());
        ++count) {
     RtpRequest req = full;
@@ -1043,7 +1015,7 @@ TEST(EncodeSessionTest, LruEvictionHoldsByteBudget) {
     ServingConfig config;
     config.encode_sessions.enabled = true;
     RtpService probe(&f->built.world, f->model.get(), config);
-    probe.Handle(f->RequestFromSample(s));
+    probe.Handle(RequestFromSample(s));
     one_session = probe.session_store()->bytes();
     ASSERT_GT(one_session, 0u);
   }
@@ -1054,7 +1026,7 @@ TEST(EncodeSessionTest, LruEvictionHoldsByteBudget) {
   RtpService service(&f->built.world, f->model.get(), config);
   constexpr int kCouriers = 8;
   for (int c = 0; c < kCouriers; ++c) {
-    RtpRequest req = f->RequestFromSample(s);
+    RtpRequest req = RequestFromSample(s);
     req.courier.id = 1000 + c;
     service.Handle(req);
     EXPECT_LE(service.session_store()->sessions(), 3u);
@@ -1064,7 +1036,7 @@ TEST(EncodeSessionTest, LruEvictionHoldsByteBudget) {
   EXPECT_GE(store->sessions(), 1u);
   EXPECT_LE(store->bytes(), config.encode_sessions.byte_budget);
   // An evicted courier simply re-warms: same bits, fresh session.
-  RtpRequest req = f->RequestFromSample(s);
+  RtpRequest req = RequestFromSample(s);
   req.courier.id = 1000;
   RtpService::Response again = service.Handle(req);
   RtpService stateless(&f->built.world, f->model.get());
@@ -1080,7 +1052,7 @@ TEST(EncodeSessionTest, ConcurrentSameCourierSerializesOnSession) {
   // one session at the end.
   ServeFixture* f = Fixture();
   const synth::Sample& s = f->built.splits.test.samples.front();
-  const RtpRequest request = f->RequestFromSample(s);
+  const RtpRequest request = RequestFromSample(s);
   core::RtpPrediction want;
   {
     NoGradGuard no_grad;
@@ -1112,7 +1084,7 @@ TEST(EncodeSessionTest, SnapshotHotSwapInvalidatesSessions) {
   // stateless prediction bitwise.
   ServeFixture* f = Fixture();
   const synth::Sample& s = f->built.splits.test.samples.front();
-  const RtpRequest request = f->RequestFromSample(s);
+  const RtpRequest request = RequestFromSample(s);
 
   std::shared_ptr<const core::M2g4Rtp> initial(f->model.get(),
                                                [](const core::M2g4Rtp*) {});
@@ -1179,7 +1151,7 @@ TEST(EncodeSessionTest, FallbackReasonsExportThroughEventsAndMetrics) {
   ServingConfig config;
   config.encode_sessions.enabled = true;
   RtpService service(&f->built.world, f->model.get(), config);
-  const RtpRequest full = f->RequestFromSample(*sample);
+  const RtpRequest full = RequestFromSample(*sample);
   RtpRequest req = full;
   req.pending.resize(4);
   service.Handle(req);  // cold
