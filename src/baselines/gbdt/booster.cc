@@ -50,34 +50,6 @@ void GbdtRegressor::Fit(const Matrix& x, const std::vector<float>& y) {
   }
 }
 
-namespace {
-
-std::vector<double> NormalizedGains(
-    const std::vector<RegressionTree>& trees, int num_features) {
-  std::vector<double> gains(num_features, 0.0);
-  for (const RegressionTree& tree : trees) {
-    tree.AccumulateFeatureGains(&gains);
-  }
-  double total = 0;
-  for (double g : gains) total += g;
-  if (total > 0) {
-    for (double& g : gains) g /= total;
-  }
-  return gains;
-}
-
-}  // namespace
-
-std::vector<double> GbdtRegressor::FeatureImportance(
-    int num_features) const {
-  return NormalizedGains(trees_, num_features);
-}
-
-std::vector<double> GbdtBinaryClassifier::FeatureImportance(
-    int num_features) const {
-  return NormalizedGains(trees_, num_features);
-}
-
 float GbdtRegressor::Predict(const float* features) const {
   float out = base_score_;
   for (const RegressionTree& tree : trees_) {

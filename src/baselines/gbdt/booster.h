@@ -30,10 +30,6 @@ class GbdtRegressor {
   }
   int num_trees() const { return static_cast<int>(trees_.size()); }
 
-  /// Gain-based feature importance, normalized to sum to 1 (empty before
-  /// Fit). `num_features` must match the training matrix width.
-  std::vector<double> FeatureImportance(int num_features) const;
-
  private:
   BoosterConfig config_;
   float base_score_ = 0;
@@ -52,9 +48,6 @@ class GbdtBinaryClassifier {
   float PredictScore(const float* features) const;
   float PredictProbability(const float* features) const;
   int num_trees() const { return static_cast<int>(trees_.size()); }
-
-  /// Gain-based feature importance, normalized to sum to 1.
-  std::vector<double> FeatureImportance(int num_features) const;
 
  private:
   BoosterConfig config_;

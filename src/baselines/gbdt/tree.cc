@@ -112,7 +112,6 @@ int RegressionTree::Build(const Matrix& x, const std::vector<float>& y,
   nodes_[node_id].leaf = false;
   nodes_[node_id].feature = split.feature;
   nodes_[node_id].threshold = split.threshold;
-  nodes_[node_id].gain = split.gain;
   const int left = Build(x, y, rows, begin, mid, depth + 1, config);
   nodes_[node_id].left = left;
   const int right = Build(x, y, rows, mid, end, depth + 1, config);
@@ -129,15 +128,6 @@ float RegressionTree::Predict(const float* features) const {
                : nodes_[node].right;
   }
   return nodes_[node].value;
-}
-
-void RegressionTree::AccumulateFeatureGains(
-    std::vector<double>* gains) const {
-  for (const Node& node : nodes_) {
-    if (node.leaf) continue;
-    M2G_CHECK_LT(static_cast<size_t>(node.feature), gains->size());
-    (*gains)[node.feature] += node.gain;
-  }
 }
 
 int RegressionTree::depth() const {

@@ -32,17 +32,12 @@ class RegressionTree {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int depth() const;
 
-  /// Adds each internal node's variance-reduction gain to
-  /// gains[node.feature] (XGBoost-style "gain" importance).
-  void AccumulateFeatureGains(std::vector<double>* gains) const;
-
  private:
   struct Node {
     bool leaf = true;
     int feature = -1;
     float threshold = 0;
     float value = 0;
-    double gain = 0;  // variance reduction of this split
     int left = -1;
     int right = -1;
   };

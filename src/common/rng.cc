@@ -65,13 +65,6 @@ double Rng::Gaussian(double mean, double stddev) {
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
-double Rng::Exponential(double lambda) {
-  M2G_CHECK_GT(lambda, 0.0);
-  double u = NextDouble();
-  if (u < 1e-300) u = 1e-300;
-  return -std::log(u) / lambda;
-}
-
 int Rng::SampleIndex(const std::vector<double>& weights) {
   M2G_CHECK(!weights.empty());
   double total = 0;

@@ -34,9 +34,6 @@ class Rng {
   /// Bernoulli draw.
   bool Bernoulli(double p);
 
-  /// Exponential with the given rate lambda (> 0).
-  double Exponential(double lambda);
-
   /// Index sampled proportionally to `weights` (non-negative, not all zero).
   int SampleIndex(const std::vector<double>& weights);
 

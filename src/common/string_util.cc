@@ -21,30 +21,4 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::vector<std::string> StrSplit(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-std::string StrJoin(const std::vector<std::string>& parts,
-                    const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
-std::string FixedCell(double value, int width, int precision) {
-  return StrFormat("%*.*f", width, precision, value);
-}
-
 }  // namespace m2g

@@ -2,23 +2,12 @@
 #define M2G_COMMON_STRING_UTIL_H_
 
 #include <string>
-#include <vector>
 
 namespace m2g {
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/// Split `s` on `sep`, keeping empty fields.
-std::vector<std::string> StrSplit(const std::string& s, char sep);
-
-/// Join `parts` with `sep`.
-std::string StrJoin(const std::vector<std::string>& parts,
-                    const std::string& sep);
-
-/// Fixed-width numeric cell for table printing, e.g. "  3.14".
-std::string FixedCell(double value, int width, int precision);
 
 }  // namespace m2g
 

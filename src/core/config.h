@@ -36,11 +36,6 @@ struct ModelConfig {
   /// Route decoding beam width at inference. 1 reproduces the paper's
   /// greedy argmax (Eq. 31); >1 is an extension of this library.
   int beam_width = 1;
-  /// Feed the GAT-e edge representation of each traversed leg into
-  /// SortLSTM alongside Eq. 33's inputs. The edge stream explicitly
-  /// encodes pairwise distance / deadline gap (Eq. 14), the per-leg
-  /// information an arrival-time integrator needs; see DESIGN.md §4b.
-  bool sort_lstm_edge_input = true;
 
   // --- Training ---
   /// Arrival-time targets are divided by this (minutes -> hours) so the

@@ -77,8 +77,7 @@ M2g4Rtp::M2g4Rtp(const ModelConfig& config) : config_(config) {
     AddChild("aoi_route_decoder", aoi_route_decoder_.get());
     aoi_sort_lstm_ = std::make_unique<SortLstm>(
         d, config.pos_enc_dim, config.pos_enc_base,
-        config.lstm_hidden_dim, &rng,
-        config.sort_lstm_edge_input ? d : 0);
+        config.lstm_hidden_dim, &rng, /*edge_dim=*/d);
     AddChild("aoi_sort_lstm", aoi_sort_lstm_.get());
   }
   location_route_decoder_ = std::make_unique<AttentionRouteDecoder>(
@@ -86,8 +85,7 @@ M2g4Rtp::M2g4Rtp(const ModelConfig& config) : config_(config) {
   AddChild("location_route_decoder", location_route_decoder_.get());
   location_sort_lstm_ = std::make_unique<SortLstm>(
       loc_in, config.pos_enc_dim, config.pos_enc_base,
-      config.lstm_hidden_dim, &rng,
-      config.sort_lstm_edge_input ? d : 0);
+      config.lstm_hidden_dim, &rng, /*edge_dim=*/d);
   AddChild("location_sort_lstm", location_sort_lstm_.get());
   uncertainty_ = std::make_unique<UncertaintyLoss>();
   AddChild("uncertainty", uncertainty_.get());

@@ -25,12 +25,6 @@ obs::Counter& FastStepCounter() {
   return c;
 }
 
-obs::Counter& LegacyStepCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().counter("decode.legacy_steps");
-  return c;
-}
-
 /// One candidate (hypothesis, next node) pair of a beam step.
 struct Expansion {
   int hyp = 0;
@@ -334,12 +328,10 @@ std::vector<int> AttentionRouteDecoder::DecodeBeamLegacy(
   seed.input = start_token_;
   seed.unvisited.assign(n, true);
   std::vector<Hypothesis> beam = {std::move(seed)};
-  uint64_t steps = 0;
 
   for (int s = 0; s < n; ++s) {
     std::vector<Expansion> expansions;
     std::vector<nn::LstmState> advanced(beam.size());
-    steps += beam.size();
     for (size_t h = 0; h < beam.size(); ++h) {
       advanced[h] = lstm_->Forward(beam[h].input, beam[h].state);
       Tensor logits = StepLogits(nodes, courier, advanced[h]);
@@ -383,7 +375,6 @@ std::vector<int> AttentionRouteDecoder::DecodeBeamLegacy(
     }
     beam = std::move(next);
   }
-  LegacyStepCounter().Increment(steps);
   return beam.front().route;
 }
 
@@ -403,7 +394,6 @@ std::vector<int> AttentionRouteDecoder::DecodeGreedyLegacy(
     unvisited[pick] = false;
     input = Row(nodes, pick);
   }
-  LegacyStepCounter().Increment(static_cast<uint64_t>(n));
   return route;
 }
 

@@ -70,12 +70,6 @@ LatencyResult MeasureLatency(const RtpModel& model,
   return result;
 }
 
-std::vector<LatencyResult> MeasureGradModeComparison(
-    const RtpModel& model, const std::vector<synth::Sample>& samples) {
-  return {MeasureLatency(model, samples, /*no_grad=*/false),
-          MeasureLatency(model, samples, /*no_grad=*/true)};
-}
-
 void PrintScalabilityTable(const std::vector<LatencyResult>& rows) {
   std::printf("Table V: Scalability Analysis\n");
   std::printf("%-18s %-38s %10s %10s %10s %10s\n", "Method",

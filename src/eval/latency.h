@@ -30,11 +30,6 @@ LatencyResult MeasureLatency(const RtpModel& model,
                              const std::vector<synth::Sample>& samples,
                              bool no_grad = false);
 
-/// Two Table V rows for the same model: grad-mode inference (graph built
-/// and discarded, the pre-refactor behavior) vs no-grad inference.
-std::vector<LatencyResult> MeasureGradModeComparison(
-    const RtpModel& model, const std::vector<synth::Sample>& samples);
-
 void PrintScalabilityTable(const std::vector<LatencyResult>& rows);
 
 }  // namespace m2g::eval

@@ -4,11 +4,11 @@
 
 namespace m2g::nn {
 
-void Optimizer::ZeroGrad() {
+void Adam::ZeroGrad() {
   for (const Tensor& p : params_) p.ZeroGrad();
 }
 
-float Optimizer::ClipGradNorm(float max_norm) {
+float Adam::ClipGradNorm(float max_norm) {
   double sq = 0.0;
   for (const Tensor& p : params_) {
     const Matrix& g = p.grad();
@@ -29,42 +29,14 @@ float Optimizer::ClipGradNorm(float max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Tensor> params, float lr, float momentum)
-    : Optimizer(std::move(params)), momentum_(momentum) {
-  lr_ = lr;
-  if (momentum_ != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const Tensor& p : params_) {
-      velocity_.emplace_back(p.value().rows(), p.value().cols());
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    const Tensor& p = params_[i];
-    const Matrix& g = p.grad();
-    if (!g.SameShape(p.value())) continue;
-    Matrix& w = p.node()->value;
-    if (momentum_ != 0.0f) {
-      Matrix& v = velocity_[i];
-      v.ScaleInPlace(momentum_);
-      v.AddInPlace(g);
-      w.AddScaledInPlace(v, -lr_);
-    } else {
-      w.AddScaledInPlace(g, -lr_);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
       weight_decay_(weight_decay) {
-  lr_ = lr;
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Tensor& p : params_) {

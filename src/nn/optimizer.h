@@ -7,16 +7,16 @@
 
 namespace m2g::nn {
 
-/// Optimizer interface over a fixed parameter list. Gradients accumulate
-/// in the parameter leaves across Backward() calls (mini-batch via
-/// accumulation); Step() consumes and ZeroGrad() clears them.
-class Optimizer {
+/// Adam (Kingma & Ba) with bias correction over a fixed parameter list;
+/// `weight_decay > 0` gives decoupled AdamW regularization. Gradients
+/// accumulate in the parameter leaves across Backward() calls (mini-batch
+/// via accumulation); Step() consumes and ZeroGrad() clears them.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
 
-  virtual void Step() = 0;
+  void Step();
 
   void ZeroGrad();
 
@@ -24,34 +24,9 @@ class Optimizer {
   /// Returns the pre-clip norm.
   float ClipGradNorm(float max_norm);
 
-  void set_learning_rate(float lr) { lr_ = lr; }
-  float learning_rate() const { return lr_; }
-
- protected:
+ private:
   std::vector<Tensor> params_;
-  float lr_ = 1e-3f;
-};
-
-/// Plain SGD, optionally with momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-  void Step() override;
-
- private:
-  float momentum_;
-  std::vector<Matrix> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction; `weight_decay > 0` gives
-/// decoupled AdamW regularization.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
-  void Step() override;
-
- private:
+  float lr_;
   float beta1_, beta2_, eps_, weight_decay_;
   int64_t t_ = 0;
   std::vector<Matrix> m_;

@@ -6,24 +6,6 @@
 
 namespace m2g::synth {
 
-const char* AoiTypeName(AoiType type) {
-  switch (type) {
-    case AoiType::kResidential:
-      return "residential";
-    case AoiType::kOffice:
-      return "office";
-    case AoiType::kMall:
-      return "mall";
-    case AoiType::kSchool:
-      return "school";
-    case AoiType::kHospital:
-      return "hospital";
-    case AoiType::kIndustrial:
-      return "industrial";
-  }
-  return "?";
-}
-
 const Aoi& World::aoi(int id) const {
   M2G_CHECK(id >= 0 && id < num_aois());
   return aois_[id];

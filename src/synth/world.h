@@ -20,8 +20,6 @@ enum class AoiType {
 };
 inline constexpr int kNumAoiTypes = 6;
 
-const char* AoiTypeName(AoiType type);
-
 /// Area Of Interest (Definition 2): a typed regional entity abstracted to
 /// its central coordinate plus a radius within which its locations scatter.
 struct Aoi {

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "common/string_util.h"
 #include "tensor/simd.h"
 
 namespace m2g {
@@ -116,17 +115,6 @@ float Matrix::MaxAbs() const {
     m = std::max(m, std::fabs(a[i]));
   }
   return m;
-}
-
-std::string Matrix::ToString() const {
-  std::string out = StrFormat("Matrix(%d x %d)\n", rows_, cols_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) {
-      out += StrFormat("%10.4f ", At(r, c));
-    }
-    out += "\n";
-  }
-  return out;
 }
 
 Matrix MatMulRaw(const Matrix& a, const Matrix& b) {

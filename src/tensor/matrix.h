@@ -2,7 +2,6 @@
 #define M2G_TENSOR_MATRIX_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -96,9 +95,6 @@ class Matrix {
   bool SameShape(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
-
-  /// Multi-line debug rendering, e.g. for test failures.
-  std::string ToString() const;
 
  private:
   Matrix(int rows, int cols, Storage::Init init)

@@ -505,12 +505,6 @@ Tensor Exp(const Tensor& a) {
       [](float, float y) { return y; });
 }
 
-Tensor Log(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::log(x); },
-      [](float x, float) { return 1.0f / x; });
-}
-
 Tensor Abs(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return std::fabs(x); },
@@ -698,23 +692,6 @@ Tensor Mean(const Tensor& a) {
   return Scale(Sum(a), inv);
 }
 
-Tensor SumRows(const Tensor& a) {
-  const Matrix& av = a.value();
-  Matrix out(1, av.cols());
-  for (int r = 0; r < av.rows(); ++r) {
-    for (int c = 0; c < av.cols(); ++c) out.At(0, c) += av.At(r, c);
-  }
-  NodePtr node = NewNode(std::move(out));
-  NodePtr an = a.node();
-  return MakeOp(node, {an}, [an](TensorNode* self) {
-    if (!an->requires_grad) return;
-    Matrix& g = an->EnsureGrad();
-    for (int r = 0; r < g.rows(); ++r) {
-      for (int c = 0; c < g.cols(); ++c) g.At(r, c) += self->grad.At(0, c);
-    }
-  });
-}
-
 Tensor Transpose(const Tensor& a) {
   NodePtr node = NewNode(TransposeRaw(a.value()));
   NodePtr an = a.node();
@@ -805,85 +782,6 @@ Tensor MaskedCrossEntropy(const Tensor& logits, int target,
 Tensor L1Loss(const Tensor& pred, float target) {
   M2G_CHECK_EQ(pred.value().size(), 1);
   return Abs(AddScalar(pred, -target));
-}
-
-Tensor LayerNormRows(const Tensor& x, const Tensor& gain,
-                     const Tensor& bias, float eps) {
-  const Matrix& xv = x.value();
-  const int n = xv.rows(), d = xv.cols();
-  M2G_CHECK_EQ(gain.value().rows(), 1);
-  M2G_CHECK_EQ(gain.value().cols(), d);
-  M2G_CHECK_EQ(bias.value().rows(), 1);
-  M2G_CHECK_EQ(bias.value().cols(), d);
-
-  Matrix out = Matrix::Uninit(n, d);
-  Matrix x_hat = Matrix::Uninit(n, d);
-  std::vector<float> inv_std(n);
-  for (int r = 0; r < n; ++r) {
-    double mean = 0;
-    for (int c = 0; c < d; ++c) mean += xv.At(r, c);
-    mean /= d;
-    double var = 0;
-    for (int c = 0; c < d; ++c) {
-      const double diff = xv.At(r, c) - mean;
-      var += diff * diff;
-    }
-    var /= d;
-    inv_std[r] = static_cast<float>(1.0 / std::sqrt(var + eps));
-    for (int c = 0; c < d; ++c) {
-      x_hat.At(r, c) =
-          (xv.At(r, c) - static_cast<float>(mean)) * inv_std[r];
-      out.At(r, c) =
-          gain.value().At(0, c) * x_hat.At(r, c) + bias.value().At(0, c);
-    }
-  }
-  NodePtr node = NewNode(std::move(out));
-  NodePtr xn = x.node(), gn = gain.node(), bn = bias.node();
-  return MakeOp(
-      node, {xn, gn, bn},
-      [xn, gn, bn, x_hat = std::move(x_hat),
-       inv_std = std::move(inv_std)](TensorNode* self) {
-        const int n = self->value.rows(), d = self->value.cols();
-        if (gn->requires_grad) {
-          Matrix& gg = gn->EnsureGrad();
-          for (int r = 0; r < n; ++r) {
-            for (int c = 0; c < d; ++c) {
-              gg.At(0, c) += self->grad.At(r, c) * x_hat.At(r, c);
-            }
-          }
-        }
-        if (bn->requires_grad) {
-          Matrix& bg = bn->EnsureGrad();
-          for (int r = 0; r < n; ++r) {
-            for (int c = 0; c < d; ++c) {
-              bg.At(0, c) += self->grad.At(r, c);
-            }
-          }
-        }
-        if (xn->requires_grad) {
-          Matrix& xg = xn->EnsureGrad();
-          for (int r = 0; r < n; ++r) {
-            // g_hat = gain * dy; dx = (g_hat - mean(g_hat)
-            //         - x_hat * mean(g_hat * x_hat)) * inv_std.
-            double mean_g = 0, mean_gx = 0;
-            for (int c = 0; c < d; ++c) {
-              const double gh =
-                  gn->value.At(0, c) * self->grad.At(r, c);
-              mean_g += gh;
-              mean_gx += gh * x_hat.At(r, c);
-            }
-            mean_g /= d;
-            mean_gx /= d;
-            for (int c = 0; c < d; ++c) {
-              const double gh =
-                  gn->value.At(0, c) * self->grad.At(r, c);
-              xg.At(r, c) += static_cast<float>(
-                  (gh - mean_g - x_hat.At(r, c) * mean_gx) *
-                  inv_std[r]);
-            }
-          }
-        }
-      });
 }
 
 int ArgmaxMaskedRow(const Matrix& row, const std::vector<bool>& mask) {

@@ -101,9 +101,8 @@ Tensor AddScalarTensor(const Tensor& a, const Tensor& s);
 /// Replicates a (1,d) row n times -> (n,d).
 Tensor BroadcastRows(const Tensor& row, int n);
 
-/// Elementwise exp / log / abs.
+/// Elementwise exp / abs.
 Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);
 Tensor Abs(const Tensor& a);
 
 /// Activations.
@@ -136,9 +135,6 @@ Tensor Sum(const Tensor& a);
 /// Mean of all entries -> (1,1).
 Tensor Mean(const Tensor& a);
 
-/// Column-wise sum: (n,d) -> (1,d).
-Tensor SumRows(const Tensor& a);
-
 /// a^T.
 Tensor Transpose(const Tensor& a);
 
@@ -154,11 +150,6 @@ Tensor MaskedCrossEntropy(const Tensor& logits, int target,
 
 /// |pred - target| for scalar pred -> (1,1). Subgradient 0 at equality.
 Tensor L1Loss(const Tensor& pred, float target);
-
-/// Row-wise layer normalization with learnable gain/bias (both (1, d)):
-///   y_{r,*} = gain * (x_{r,*} - mean_r) / sqrt(var_r + eps) + bias.
-Tensor LayerNormRows(const Tensor& x, const Tensor& gain,
-                     const Tensor& bias, float eps = 1e-5f);
 
 // ---------------------------------------------------------------------------
 // Non-differentiable helpers.

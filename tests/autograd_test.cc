@@ -84,13 +84,11 @@ TEST(AutogradTest, ScaleNegAddScalar) {
   CheckGradients(a, [&] { return Sum(AddScalar(Neg(Scale(a, 2.5f)), 1)); });
 }
 
-TEST(AutogradTest, ExpLog) {
+TEST(AutogradTest, Exp) {
   Rng rng(12);
-  // Keep values positive for Log.
   Tensor a =
       Tensor::Parameter(Matrix::Random(2, 3, 0.5f, 2.0f, &rng));
-  CheckGradients(a, [&] { return Sum(Log(Exp(a))); });
-  CheckGradients(a, [&] { return Sum(Log(a)); });
+  CheckGradients(a, [&] { return Sum(Exp(a)); });
 }
 
 TEST(AutogradTest, AbsAwayFromKink) {
@@ -142,9 +140,8 @@ TEST(AutogradTest, BroadcastRows) {
   CheckGradients(a, [&] { return Sum(Tanh(BroadcastRows(a, 4))); });
 }
 
-TEST(AutogradTest, SumRowsMeanTranspose) {
+TEST(AutogradTest, MeanTranspose) {
   Tensor a = RandomParam(3, 4, 22);
-  CheckGradients(a, [&] { return Sum(Tanh(SumRows(a))); });
   CheckGradients(a, [&] { return Mean(Mul(a, a)); });
   CheckGradients(a, [&] { return Sum(Tanh(Transpose(a))); });
 }

@@ -175,20 +175,5 @@ TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");
 }
 
-TEST(StringUtilTest, StrSplitKeepsEmptyFields) {
-  auto parts = StrSplit("a,,b", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[1], "");
-}
-
-TEST(StringUtilTest, StrJoinRoundTrip) {
-  std::vector<std::string> parts = {"a", "b", "c"};
-  EXPECT_EQ(StrJoin(parts, "/"), "a/b/c");
-}
-
-TEST(StringUtilTest, FixedCellPadsWidth) {
-  EXPECT_EQ(FixedCell(3.14159, 8, 2), "    3.14");
-}
-
 }  // namespace
 }  // namespace m2g

@@ -157,47 +157,6 @@ TEST(GbdtClassifierTest, ProbabilitiesAreCalibratedInSign) {
   EXPECT_GT(model.PredictScore(deep_pos), model.PredictScore(deep_neg));
 }
 
-TEST(FeatureImportanceTest, IdentifiesInformativeFeatures) {
-  // y depends on features 0 and 1; feature 2 is noise. The gain-based
-  // importance must concentrate on 0 and 1.
-  Matrix x;
-  std::vector<float> y;
-  MakeLinearData(1200, &x, &y, 21, 0.02f);
-  BoosterConfig config;
-  config.num_rounds = 40;
-  GbdtRegressor model(config);
-  model.Fit(x, y);
-  auto importance = model.FeatureImportance(3);
-  ASSERT_EQ(importance.size(), 3u);
-  double total = 0;
-  for (double v : importance) {
-    EXPECT_GE(v, 0.0);
-    total += v;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-  // 3*x0 has steeper slope than -2*x1; both dwarf the noise feature.
-  EXPECT_GT(importance[0], importance[1]);
-  EXPECT_GT(importance[1], importance[2]);
-  EXPECT_LT(importance[2], 0.05);
-}
-
-TEST(FeatureImportanceTest, ClassifierImportanceFindsBoundaryFeature) {
-  Rng rng(22);
-  const int n = 1000;
-  Matrix x(n, 2);
-  std::vector<float> y(n);
-  for (int i = 0; i < n; ++i) {
-    x.At(i, 0) = static_cast<float>(rng.Uniform(-1, 1));
-    x.At(i, 1) = static_cast<float>(rng.Uniform(-1, 1));
-    y[i] = x.At(i, 0) > 0 ? 1.0f : 0.0f;  // only feature 0 matters
-  }
-  BoosterConfig config;
-  GbdtBinaryClassifier model(config);
-  model.Fit(x, y);
-  auto importance = model.FeatureImportance(2);
-  EXPECT_GT(importance[0], 0.9);
-}
-
 TEST(GbdtTest, DeterministicForFixedSeed) {
   Matrix x;
   std::vector<float> y;

@@ -99,9 +99,6 @@ class GradCheckTest : public ::testing::TestWithParam<StorageMode> {
     }
     return m;
   }
-  Matrix RandPositive(int r, int c) {
-    return Matrix::Random(r, c, 0.5f, 2.0f, &rng_);
-  }
   Tensor P(Matrix m) { return Tensor::Parameter(std::move(m)); }
   /// Scalarizes an arbitrary output with a fixed random weighting so
   /// every output element influences the loss differently.
@@ -265,13 +262,6 @@ TEST_P(GradCheckTest, Exp) {
         [s](const auto& in) { return s(Exp(in[0])); });
 }
 
-TEST_P(GradCheckTest, Log) {
-  const int n = Dim(), d = Dim();
-  auto s = Scalarizer(n, d);
-  Check({P(RandPositive(n, d))},
-        [s](const auto& in) { return s(Log(in[0])); });
-}
-
 TEST_P(GradCheckTest, Abs) {
   const int n = Dim(), d = Dim();
   auto s = Scalarizer(n, d);
@@ -349,15 +339,12 @@ TEST_P(GradCheckTest, RowAndGatherRows) {
   });
 }
 
-TEST_P(GradCheckTest, SumMeanSumRows) {
+TEST_P(GradCheckTest, SumMean) {
   const int n = Dim(), d = Dim();
   Check({P(Rand(n, d))},
         [](const auto& in) { return Sum(in[0]); });
   Check({P(Rand(n, d))},
         [](const auto& in) { return Mean(in[0]); });
-  auto s = Scalarizer(1, d);
-  Check({P(Rand(n, d))},
-        [s](const auto& in) { return s(SumRows(in[0])); });
 }
 
 TEST_P(GradCheckTest, Transpose) {
@@ -391,15 +378,6 @@ TEST_P(GradCheckTest, L1Loss) {
   pred[0] = 0.8f;  // away from the target: the kink is at equality
   Check({P(std::move(pred))},
         [](const auto& in) { return L1Loss(in[0], 0.2f); });
-}
-
-TEST_P(GradCheckTest, LayerNormRows) {
-  const int n = Dim(), d = Dim() + 2;
-  auto s = Scalarizer(n, d);
-  Check({P(Rand(n, d)), P(RandPositive(1, d)), P(Rand(1, d))},
-        [s](const auto& in) {
-          return s(LayerNormRows(in[0], in[1], in[2]));
-        });
 }
 
 // ---------------------------------------------------------------------------

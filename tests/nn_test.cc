@@ -108,18 +108,6 @@ TEST(ModuleTest, NamedParametersArePrefixed) {
   EXPECT_EQ(named[3].first, "layer1/bias");
 }
 
-TEST(OptimizerTest, SgdDescendsQuadratic) {
-  Tensor w = Tensor::Parameter(Matrix(1, 1, {5.0f}));
-  Sgd opt({w}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    opt.ZeroGrad();
-    Tensor loss = Mul(w, w);
-    loss.Backward();
-    opt.Step();
-  }
-  EXPECT_NEAR(w.value()[0], 0.0f, 1e-3f);
-}
-
 TEST(OptimizerTest, AdamDescendsQuadraticWithOffset) {
   Tensor w = Tensor::Parameter(Matrix(1, 2, {4.0f, -3.0f}));
   Tensor target = Tensor::Constant(Matrix(1, 2, {1.0f, 2.0f}));
@@ -136,7 +124,7 @@ TEST(OptimizerTest, AdamDescendsQuadraticWithOffset) {
 
 TEST(OptimizerTest, ClipGradNormScalesDown) {
   Tensor w = Tensor::Parameter(Matrix(1, 2, {0.0f, 0.0f}));
-  Sgd opt({w}, 1.0f);
+  Adam opt({w}, 1.0f);
   opt.ZeroGrad();
   Sum(Scale(w, 100.0f)).Backward();  // grad = [100, 100], norm ~141.4
   const float before = opt.ClipGradNorm(1.0f);
@@ -145,18 +133,35 @@ TEST(OptimizerTest, ClipGradNormScalesDown) {
   EXPECT_NEAR(norm_after, 1.0f, 1e-3f);
 }
 
-TEST(OptimizerTest, MomentumAcceleratesOverPlainSgd) {
-  auto run = [](float momentum) {
-    Tensor w = Tensor::Parameter(Matrix(1, 1, {10.0f}));
-    Sgd opt({w}, 0.01f, momentum);
+TEST(AdamWTest, WeightDecayShrinksUnusedWeights) {
+  // With zero gradient signal, AdamW decay pulls weights toward zero;
+  // plain Adam leaves them untouched.
+  auto run = [](float decay) {
+    Tensor w = Tensor::Parameter(Matrix(1, 1, {4.0f}));
+    Adam opt({w}, 0.1f, 0.9f, 0.999f, 1e-8f, decay);
     for (int i = 0; i < 50; ++i) {
       opt.ZeroGrad();
-      Mul(w, w).Backward();
+      // A loss independent of w still allocates its grad (stays zero).
+      Sum(Scale(w, 0.0f)).Backward();
       opt.Step();
     }
-    return std::fabs(w.value()[0]);
+    return w.value()[0];
   };
-  EXPECT_LT(run(0.9f), run(0.0f));
+  EXPECT_NEAR(run(0.0f), 4.0f, 1e-5f);
+  EXPECT_LT(run(0.1f), 4.0f * std::pow(1.0f - 0.1f * 0.1f, 45));
+}
+
+TEST(AdamWTest, StillMinimizesWithDecay) {
+  Tensor w = Tensor::Parameter(Matrix(1, 1, {5.0f}));
+  Adam opt({w}, 0.05f, 0.9f, 0.999f, 1e-8f, 0.01f);
+  for (int i = 0; i < 400; ++i) {
+    opt.ZeroGrad();
+    Tensor diff = AddScalar(w, -2.0f);
+    Sum(Mul(diff, diff)).Backward();
+    opt.Step();
+  }
+  // Decay biases slightly below the unregularized optimum of 2.
+  EXPECT_NEAR(w.value()[0], 2.0f, 0.15f);
 }
 
 TEST(SerializeTest, RoundTripRestoresExactWeights) {
