@@ -37,10 +37,8 @@ void FitCache(const std::vector<std::unique_ptr<GatELayer>>& layers, int n,
     cache->z.emplace_back(pairs, d);
   }
   for (const auto& layer : layers) {
-    for (int p = 0; p < heads; ++p) {
-      cache->ew3.emplace_back(pairs, layer->head_dim());
-      cache->se.emplace_back(pairs, 1);
-    }
+    cache->ew3.emplace_back(pairs, heads * layer->head_dim());
+    cache->se.emplace_back(pairs, heads);
   }
 }
 
@@ -136,12 +134,8 @@ EncodedLevel LevelEncoder::EncodeFast(const graph::LevelGraph& level,
   }
   for (size_t l = 0; l < layers_.size(); ++l) {
     if (cache != nullptr) {
-      capture.ew3.clear();
-      capture.se.clear();
-      for (int p = 0; p < cache->heads; ++p) {
-        capture.ew3.push_back(cache->ew3[l * cache->heads + p].data());
-        capture.se.push_back(cache->se[l * cache->heads + p].data());
-      }
+      capture.ew3 = cache->ew3[l].data();
+      capture.se = cache->se[l].data();
     }
     layers_[l]->ForwardFast(h, z, level.adjacency, plan,
                             cache != nullptr ? &capture : nullptr);

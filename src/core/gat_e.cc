@@ -7,6 +7,7 @@
 #include "nn/init.h"
 #include "obs/metrics.h"
 #include "tensor/grad_mode.h"
+#include "tensor/simd.h"
 
 namespace m2g::core {
 namespace {
@@ -25,7 +26,7 @@ obs::Counter& LegacyLayerCounter() {
 
 /// Where one head writes an output row (Eq. 24-26): hidden layers write
 /// the head's concat columns at `col0` in place; on the last layer head 0
-/// seeds the row and later heads go through the (1, d) scratch `sum`
+/// seeds the row and later heads go through the scratch row `sum`
 /// (non-null only then) and add in, the sequential elementwise adds of
 /// the autograd epilogue.
 inline float* HeadSlot(float* out_row, int col0, float* sum) {
@@ -33,18 +34,18 @@ inline float* HeadSlot(float* out_row, int col0, float* sum) {
 }
 
 /// Eq. 23/25 for one edge pair and head: dst = ReLU(ew3 + (nw4_i +
-/// nw5_j)) in the autograd association order, then out += dst on the
-/// last layer's later heads. `ew3` may alias `dst`. Every pointer is
-/// hoisted by the caller: this runs n^2 times per head.
+/// nw5_j)) in the autograd association order, then sum_out += dst on the
+/// last layer's later heads (null otherwise). `ew3` may alias `dst`.
+/// Every pointer is hoisted by the caller: this runs n^2 times per head.
 inline void EdgePair(const float* ew3, const float* nw4_row,
-                     const float* nw5_row, int dh, float* dst, float* sum,
-                     float* out) {
+                     const float* nw5_row, int dh, float* dst,
+                     float* sum_out) {
   for (int c = 0; c < dh; ++c) {
     const float v = ew3[c] + (nw4_row[c] + nw5_row[c]);
     dst[c] = v > 0.0f ? v : 0.0f;
   }
-  if (sum != nullptr) {
-    for (int c = 0; c < dh; ++c) out[c] += dst[c];
+  if (sum_out != nullptr) {
+    for (int c = 0; c < dh; ++c) sum_out[c] += dst[c];
   }
 }
 
@@ -161,6 +162,44 @@ GatEOutput GatELayer::Forward(const Tensor& nodes, const Tensor& edges,
 // keeps the two paths byte-identical. They are inline so the per-row and
 // per-pair calls cost nothing in the n^2 loops.
 
+inline void GatELayer::PackEdgeWeights(EncodePlan* plan) const {
+  const int d = hidden_dim_;
+  const int dh = head_dim_;
+  const int heads = num_heads_;
+  float* ae = plan->ae.data();
+  float* w3 = plan->w3.data();
+  for (int p = 0; p < heads; ++p) {
+    const float* ae_p = heads_[p].ae.value().data();
+    for (int q = 0; q < d; ++q) ae[q * heads + p] = ae_p[q];
+    if (is_last_) continue;
+    const float* w3_p = heads_[p].w3.value().data();
+    for (int q = 0; q < d; ++q) {
+      std::copy(w3_p + q * dh, w3_p + (q + 1) * dh, w3 + q * d + p * dh);
+    }
+  }
+}
+
+inline void GatELayer::EdgeProducts(const float* z, int count, float* se,
+                                    float* ew3,
+                                    const EncodePlan& plan) const {
+  // Column c of a packed product is exactly head c's own (d, 1) or
+  // (d, dh) product: the same terms from +0.0 in ascending p.
+  const int d = hidden_dim_;
+  simd::DenseRowsMatMul(z, count, d, d, plan.ae.data(), num_heads_, se,
+                        num_heads_);
+  if (ew3 == nullptr) return;
+  if (!is_last_) {
+    // P*dh == d: the concat of every head's z*W3 in one pass.
+    simd::DenseRowsMatMul(z, count, d, d, plan.w3.data(), d, ew3, d);
+    return;
+  }
+  const int width = num_heads_ * d;
+  for (int p = 0; p < num_heads_; ++p) {
+    simd::DenseRowsMatMul(z, count, d, d, heads_[p].w3.value().data(), d,
+                          ew3 + p * d, width);
+  }
+}
+
 inline void GatELayer::ProjectNodes(const Head& head, const float* nodes,
                                     int n, EncodePlan* plan) const {
   const int d = hidden_dim_;
@@ -181,14 +220,21 @@ inline void GatELayer::ProjectNodes(const Head& head, const float* nodes,
   MatMulInto(nodes, n, d, head.w5.value().data(), dh, plan->nw5.data());
 }
 
-inline void GatELayer::AttentionRow(int i, const float* s_edge_row,
+inline void GatELayer::AttentionRow(int i, int p, const float* se,
+                                    int stride,
                                     const std::vector<bool>& adjacency,
                                     int n, int col0, float* sum,
                                     EncodePlan* plan) const {
   // Logits -> masked softmax -> aggregation, fused (Eq. 20-22), with no
-  // (1, n) or (1, dh) temporaries.
+  // (1, n) or (1, dh) temporaries. Head p's s_edge column of row i is
+  // gathered first so the logits kernel reads it contiguously.
   const int dh = head_dim_;
-  GatLogitsRow(plan->s_dst.data(), s_edge_row, plan->s_src.data()[i],
+  const float* se_i = se + static_cast<size_t>(i) * stride * num_heads_ + p;
+  float* se_row = plan->s_edge_row.data();
+  for (int j = 0; j < n; ++j) {
+    se_row[j] = se_i[static_cast<size_t>(j) * num_heads_];
+  }
+  GatLogitsRow(plan->s_dst.data(), se_row, plan->s_src.data()[i],
                leaky_slope_, n, plan->logits.data());
   MaskedSoftmaxRowRaw(plan->logits.data(), adjacency,
                       static_cast<size_t>(i) * n, n, plan->alpha.data());
@@ -233,6 +279,7 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
   const int n = nodes.rows();
   M2G_CHECK(!GradMode::enabled());
   M2G_CHECK_EQ(plan->hidden_dim, d);
+  M2G_CHECK_EQ(plan->num_heads, num_heads_);
   M2G_CHECK_EQ(nodes.cols(), d);
   M2G_CHECK_EQ(edges.rows(), n * n);
   M2G_CHECK_EQ(edges.cols(), d);
@@ -241,44 +288,62 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
   FastLayerCounter().Increment();
 
   // All the matmul/logit kernels dispatch through the runtime SIMD tier
-  // (tensor/simd.h), bitwise-identical on every tier.
-  float* s_edge = plan->s_edge.data();
+  // (tensor/simd.h), bitwise-identical on every tier. The n^2-sized
+  // products land where they are read from: the session cache rows
+  // (padded stride) when warming one, else plan->s_edge and, on hidden
+  // layers, the pairs' own edge_out rows, whose d columns are exactly
+  // the P heads' concatenated z*W3. Without a cache the last layer's
+  // per-head z*W3 is computed inside the head loop instead (below).
+  const int stride = capture != nullptr ? capture->block : n;
+  float* se = capture != nullptr ? capture->se : plan->s_edge.data();
   float* edge_out = plan->edge_out.data();
+  float* ew3 = capture != nullptr ? capture->ew3
+                                  : (is_last_ ? nullptr : edge_out);
+  const int ew3_width = num_heads_ * dh;
+  PackEdgeWeights(plan);
+  for (int i = 0; i < n; ++i) {
+    const size_t row = static_cast<size_t>(i) * stride;
+    EdgeProducts(edges.data() + static_cast<size_t>(i) * n * d, n,
+                 se + row * num_heads_,
+                 ew3 != nullptr ? ew3 + row * ew3_width : nullptr, *plan);
+  }
+
   const float* nw4 = plan->nw4.data();
   const float* nw5 = plan->nw5.data();
+  float* head_rows = plan->head_rows.data();
   for (int p = 0; p < num_heads_; ++p) {
     const Head& head = heads_[p];
     const int col0 = is_last_ ? 0 : p * dh;
-    float* sum = is_last_ && p > 0 ? plan->row.data() : nullptr;
-    MatMulInto(edges.data(), n * n, d, head.ae.value().data(), 1, s_edge);
+    float* sum = is_last_ && p > 0 ? head_rows : nullptr;
     ProjectNodes(head, nodes.data(), n, plan);
     for (int i = 0; i < n; ++i) {
-      const float* row = s_edge + static_cast<size_t>(i) * n;
-      if (capture != nullptr) {
-        // Donate s_edge to the session cache in its padded layout.
-        std::copy(row, row + n,
-                  capture->se[p] + static_cast<size_t>(i) * capture->block);
-      }
-      AttentionRow(i, row, adjacency, n, col0, sum, plan);
+      AttentionRow(i, p, se, stride, adjacency, n, col0, sum, plan);
     }
-    // z_ij * W3 lands in the pair's head slot, or in the session cache
-    // row when warming one, and EdgePair finishes it from there.
     for (int i = 0; i < n; ++i) {
+      float* out_i = edge_out + static_cast<size_t>(i) * n * d;
+      // Head p's z*W3 rows of edge row i and their row stride. On the
+      // last layer without a cache, head 0 computes them into its output
+      // rows and later heads into the head_rows scratch.
+      const float* ew3_i;
+      int ew3_ld;
+      if (ew3 != nullptr) {
+        ew3_i = ew3 + static_cast<size_t>(i) * stride * ew3_width + p * dh;
+        ew3_ld = ew3_width;
+      } else {
+        float* rows = p == 0 ? out_i : head_rows;
+        simd::DenseRowsMatMul(edges.data() + static_cast<size_t>(i) * n * d,
+                              n, d, d, head.w3.value().data(), d, rows, d);
+        ew3_i = rows;
+        ew3_ld = d;
+      }
       const float* nw4_row = nw4 + static_cast<size_t>(i) * dh;
       for (int j = 0; j < n; ++j) {
-        const size_t r = static_cast<size_t>(i) * n + j;
-        float* out = edge_out + r * d;
-        float* dst = HeadSlot(out, col0, sum);
-        float* ew3 =
-            capture != nullptr
-                ? capture->ew3[p] +
-                      (static_cast<size_t>(i) * capture->block + j) * dh
-                : dst;
-        std::fill(ew3, ew3 + dh, 0.0f);
-        AccumulateRowMatMul(edges.data() + r * d, d, head.w3.value().data(),
-                            dh, ew3);
-        EdgePair(ew3, nw4_row, nw5 + static_cast<size_t>(j) * dh, dh, dst,
-                 sum, out);
+        float* out = out_i + static_cast<size_t>(j) * d;
+        EdgePair(ew3_i + static_cast<size_t>(j) * ew3_ld, nw4_row,
+                 nw5 + static_cast<size_t>(j) * dh, dh,
+                 sum != nullptr ? head_rows + static_cast<size_t>(j) * d
+                                : out + col0,
+                 sum != nullptr ? out : nullptr);
       }
     }
   }
@@ -293,6 +358,7 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
   const int block = item->block;
   M2G_CHECK(!GradMode::enabled());
   M2G_CHECK_EQ(plan->hidden_dim, d);
+  M2G_CHECK_EQ(plan->num_heads, num_heads_);
   M2G_CHECK_GE(plan->max_nodes, n);
   M2G_CHECK_GE(block, n);
   M2G_CHECK_EQ(item->adjacency->size(), static_cast<size_t>(n) * n);
@@ -306,8 +372,9 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
   // — including across an insertion whose new column is masked out,
   // because MaskedSoftmaxRowRaw writes exact zeros for masked entries
   // and AccumulateRowMatMul skips zero coefficients.
-  std::vector<unsigned char> row_rec(n, 0);
+  unsigned char* row_rec = plan->row_rec();
   for (int i = 0; i < n; ++i) {
+    row_rec[i] = 0;
     if (item->row_changed[i] || item->node_dirty[i]) {
       row_rec[i] = 1;
       continue;
@@ -323,7 +390,7 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
   }
   // Which edge pairs must rerun: Eq. 23 reads z_ij, h_i and h_j (no
   // mask), so a pair reruns iff any of the three changed.
-  std::vector<unsigned char> pair_rec(static_cast<size_t>(n) * n, 0);
+  unsigned char* pair_rec = plan->pair_rec();
   for (int i = 0; i < n; ++i) {
     const size_t base = static_cast<size_t>(i) * n;
     for (int j = 0; j < n; ++j) {
@@ -334,39 +401,43 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
     }
   }
 
+  // A pair whose z changed refreshes its cached s_edge and z * W3 for
+  // every head: one product per run of consecutive dirty pairs, which
+  // sit in consecutive rows of the padded layout. The kernel starts each
+  // element from +0.0, so a refreshed row has the full forward's bits.
+  const int ew3_width = num_heads_ * dh;
+  PackEdgeWeights(plan);
+  for (int i = 0; i < n; ++i) {
+    const unsigned char* dirty =
+        item->pair_dirty + static_cast<size_t>(i) * n;
+    int j = 0;
+    while (j < n) {
+      while (j < n && !dirty[j]) ++j;
+      const int start = j;
+      while (j < n && dirty[j]) ++j;
+      if (j == start) continue;
+      const size_t row = static_cast<size_t>(i) * block + start;
+      EdgeProducts(item->z_in + row * d, j - start,
+                   item->se + row * num_heads_, item->ew3 + row * ew3_width,
+                   *plan);
+    }
+  }
+
   for (int p = 0; p < num_heads_; ++p) {
     const Head& head = heads_[p];
     // Per-node projections are recomputed in full: they are O(n d dh),
     // noise next to the n^2 terms, and reproduce the warm forward's bits
     // for clean rows for free.
     const int col0 = is_last_ ? 0 : p * dh;
-    float* sum = is_last_ && p > 0 ? plan->row.data() : nullptr;
+    float* sum = is_last_ && p > 0 ? plan->head_rows.data() : nullptr;
     ProjectNodes(head, item->h_in, n, plan);
-    float* se = item->se[p];
-    float* ew3 = item->ew3[p];
-    for (int i = 0; i < n; ++i) {
-      const size_t base = static_cast<size_t>(i) * n;
-      const size_t pbase = static_cast<size_t>(i) * block;
-      for (int j = 0; j < n; ++j) {
-        if (!item->pair_dirty[base + j]) continue;
-        // A pair whose z changed refreshes its cached s_edge and z * W3
-        // (zeroed accumulator + AccumulateRowMatMul: MatMulInto's exact
-        // bits for that row).
-        const float* z = item->z_in + (pbase + j) * d;
-        se[pbase + j] = 0.0f;
-        AccumulateRowMatMul(z, d, head.ae.value().data(), 1, se + pbase + j);
-        float* e3 = ew3 + (pbase + j) * dh;
-        std::fill(e3, e3 + dh, 0.0f);
-        AccumulateRowMatMul(z, d, head.w3.value().data(), dh, e3);
-      }
-    }
+    const float* ew3_p = item->ew3 + p * dh;
     // Attention rows and edge pairs, only the recompute sets; cached
     // outputs are left untouched. Pairs with a clean z but a dirty
     // endpoint reuse the cached z * W3 and pay only the epilogue.
     for (int i = 0; i < n; ++i) {
       if (row_rec[i]) {
-        AttentionRow(i, se + static_cast<size_t>(i) * block, adjacency, n,
-                     col0, sum, plan);
+        AttentionRow(i, p, item->se, block, adjacency, n, col0, sum, plan);
       }
     }
     for (int i = 0; i < n; ++i) {
@@ -375,13 +446,13 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
         const size_t r = static_cast<size_t>(i) * n + j;
         if (!pair_rec[r]) continue;
         float* out = plan->edge_out.data() + r * d;
-        EdgePair(ew3 + (static_cast<size_t>(i) * block + j) * dh, nw4_row,
-                 plan->nw5.data() + static_cast<size_t>(j) * dh, dh,
-                 HeadSlot(out, col0, sum), sum, out);
+        EdgePair(ew3_p + (static_cast<size_t>(i) * block + j) * ew3_width,
+                 nw4_row, plan->nw5.data() + static_cast<size_t>(j) * dh, dh,
+                 HeadSlot(out, col0, sum), sum != nullptr ? out : nullptr);
       }
     }
   }
-  if (is_last_) MeanOverHeads(n, row_rec.data(), pair_rec.data(), plan);
+  if (is_last_) MeanOverHeads(n, row_rec, pair_rec, plan);
 
   // Residual + write-back: h_{l+1}[i] = h_l[i] + node_out[i] (the same
   // per-element addition order as the full path's in-place residual).
@@ -390,7 +461,7 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
   // history (fresh nodes) are dirty by definition.
   const float* node_out = plan->node_out.data();
   const float* edge_out = plan->edge_out.data();
-  float* scratch = plan->row.data();  // (1, d); free after the head loop
+  float* scratch = plan->head_rows.data();  // free after the head loop
   for (int i = 0; i < n; ++i) {
     if (!row_rec[i]) {
       item->out_node_dirty[i] = 0;

@@ -17,16 +17,18 @@ struct GatEOutput {
   Tensor edges;  // (n*n, hidden_dim)
 };
 
-/// Destination buffers for the per-head intermediates a warming encode
-/// donates to an encode-session cache (core/incremental_encode): the
-/// Eq. 23 z*W3 product and the Eq. 20 s_edge column, per head, stored in
-/// row blocks of `block` entries so pair (i, j) lands at row i*block + j
-/// regardless of n. Capturing changes no output bit: the edge epilogue
-/// reads z*W3 from the cache row instead of its own output slot.
+/// Destination buffers for the intermediates a warming encode donates to
+/// an encode-session cache (core/incremental_encode): the Eq. 23 z*W3
+/// products and the Eq. 20 s_edge entries of all heads, stored in row
+/// blocks of `block` pair rows so pair (i, j) lands at row i*block + j
+/// regardless of n. A pair's ew3 row holds P*dh floats (head p at column
+/// p*dh) and its se row P floats. Capturing changes no output bit: the
+/// products land in the cache rows instead of the plan, and the
+/// attention and edge epilogues read them from there.
 struct GatECapture {
-  int block = 0;               // pair-row stride, >= n
-  std::vector<float*> ew3;     // per head: rows of head_dim floats
-  std::vector<float*> se;      // per head: rows of 1 float
+  int block = 0;          // pair-row stride, >= n
+  float* ew3 = nullptr;   // pair rows of P*dh floats
+  float* se = nullptr;    // pair rows of P floats
 };
 
 /// One level's slice of an incremental re-encode step
@@ -45,8 +47,8 @@ struct GatEDeltaItem {
   float* h_out = nullptr;        // cached next-layer nodes, updated in place
   float* z_out = nullptr;        // cached next-layer edges, updated in place
   int block = 0;                 // pair-row stride of z/ew3/se buffers
-  std::vector<float*> ew3;       // per head: cached z_l * W3 rows, updated
-  std::vector<float*> se;        // per head: cached s_edge rows, updated
+  float* ew3 = nullptr;          // cached z_l * W3 rows (P*dh), updated
+  float* se = nullptr;           // cached s_edge rows (P), updated
   const unsigned char* node_dirty = nullptr;   // n: h_in row changed
   const unsigned char* pair_dirty = nullptr;   // n*n dense: z_in pair changed
   const unsigned char* row_changed = nullptr;  // n: softmax mask membership changed
@@ -81,7 +83,9 @@ class GatELayer : public nn::Module {
   /// plan->edge_out, bit for bit, with no autograd nodes and no (n^2, d)
   /// per-head temporaries. Requires GradMode disabled; increments
   /// encode.fast_layers. `capture`, when given, also receives the
-  /// per-head z*W3 and s_edge intermediates (the session warm-up).
+  /// z*W3 and s_edge intermediates (the session warm-up). The n^2-sized
+  /// edge products run as row-blocked simd::DenseRowsMatMul calls, all
+  /// heads per pass on hidden layers.
   void ForwardFast(const Matrix& nodes, const Matrix& edges,
                    const std::vector<bool>& adjacency, EncodePlan* plan,
                    GatECapture* capture = nullptr) const;
@@ -114,12 +118,22 @@ class GatELayer : public nn::Module {
   };
 
   // Row kernels shared by ForwardFast and ForwardFastDelta.
+  /// Packs the head-fused right-hand sides of the edge products into the
+  /// plan: [ae_0 | ... | ae_P-1] always, [W3_0 | ... | W3_P-1] on hidden
+  /// layers.
+  void PackEdgeWeights(EncodePlan* plan) const;
+  /// The n^2-sized products of `count` consecutive edge rows z, every
+  /// head at once: s_edge into `se` (rows of P) and, when `ew3` is
+  /// non-null, z*W3 into `ew3` (rows of P*dh, head p at column p*dh).
+  void EdgeProducts(const float* z, int count, float* se, float* ew3,
+                    const EncodePlan& plan) const;
   /// Head p's six per-node products (Eq. 20/22/23) into the plan.
   void ProjectNodes(const Head& head, const float* nodes, int n,
                     EncodePlan* plan) const;
-  /// Attention row i (Eq. 20-22) into plan->node_out at the head's slot
-  /// (concat columns at `col0`, or the last layer's scratch `sum`).
-  void AttentionRow(int i, const float* s_edge_row,
+  /// Attention row i (Eq. 20-22) of head p into plan->node_out at the
+  /// head's slot (concat columns at `col0`, or the last layer's scratch
+  /// `sum`). Row i's s_edge entries are the se rows i*stride .. +n.
+  void AttentionRow(int i, int p, const float* se, int stride,
                     const std::vector<bool>& adjacency, int n, int col0,
                     float* sum, EncodePlan* plan) const;
   /// Eq. 26 1/P epilogue over the masked rows and pairs (null = all).

@@ -7,9 +7,11 @@
 // everything else byte for byte.
 //
 // Why bitwise reuse is sound: every kernel on this path (MatMulInto /
-// AccumulateRowMatMul / GatLogitsRow / MaskedSoftmaxRowRaw) is
-// deterministic and row-local, so a cached output row is exactly what
-// recomputation would produce whenever its inputs are bitwise-unchanged.
+// AccumulateRowMatMul / DenseRowsMatMul / GatLogitsRow /
+// MaskedSoftmaxRowRaw) is deterministic and row-local — a row's bits do
+// not depend on which rows share its call or its register block — so a
+// cached output row is exactly what recomputation would produce whenever
+// its inputs are bitwise-unchanged.
 // The one cross-n subtlety is an attention row whose mask did not change
 // across an insertion: the new column is masked out, MaskedSoftmaxRowRaw
 // computes its max and denominator over unmasked entries only and writes
@@ -176,7 +178,6 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
   }
 
   const int d = cache->hidden;
-  const int heads = cache->heads;
   const int pn = prev.n;
 
   // 1. Line cached rows up with the new numbering. Appends and
@@ -299,12 +300,8 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
     item.h_out = cache->h[l + 1].data();
     item.z_out = cache->z[l + 1].data();
     item.block = cache->cap;
-    item.ew3.reserve(heads);
-    item.se.reserve(heads);
-    for (int p = 0; p < heads; ++p) {
-      item.ew3.push_back(cache->ew3[l * heads + p].data());
-      item.se.push_back(cache->se[l * heads + p].data());
-    }
+    item.ew3 = cache->ew3[l].data();
+    item.se = cache->se[l].data();
     item.node_dirty = node_dirty.data();
     item.pair_dirty = pair_dirty.data();
     item.row_changed = row_changed.data();

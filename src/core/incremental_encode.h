@@ -12,9 +12,12 @@ namespace m2g::core {
 
 /// Everything a warm GAT-e encode of one level graph leaves behind that a
 /// single-node delta can reuse: per-layer node representations h_0..h_K,
-/// per-layer edge representations z_0..z_K, and the per-(layer, head)
-/// z*W3 products and s_edge columns — the two n^2-sized intermediates
-/// whose recomputation would otherwise dominate a delta step.
+/// per-layer edge representations z_0..z_K, and the per-layer z*W3
+/// products and s_edge entries of all heads — the two n^2-sized
+/// intermediates whose recomputation would otherwise dominate a delta
+/// step. A pair's ew3 row holds every head's z*W3 side by side (head p at
+/// column p*dh_l) and its se row every head's s_edge, the layout the
+/// head-fused edge products write (GatECapture).
 ///
 /// Edge-indexed buffers (z, ew3, se) store pair (i, j) at row
 /// i*cap + j with a fixed padded stride `cap`, independent of the current
@@ -37,8 +40,8 @@ struct LevelEncodeCache {
 
   std::vector<Matrix> h;    // K+1 entries, (cap, d)
   std::vector<Matrix> z;    // K+1 entries, (cap*cap, d)
-  std::vector<Matrix> ew3;  // K*P entries, (cap*cap, dh_l)
-  std::vector<Matrix> se;   // K*P entries, (cap*cap, 1)
+  std::vector<Matrix> ew3;  // K entries, (cap*cap, P*dh_l)
+  std::vector<Matrix> se;   // K entries, (cap*cap, P)
 
   bool warm() const { return n > 0; }
   void Reset() { *this = LevelEncodeCache(); }

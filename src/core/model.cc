@@ -366,7 +366,8 @@ std::optional<EncodePlan> M2g4Rtp::MakeEncodePlan(
   if (!config_.use_graph_encoder || GradMode::enabled()) return std::nullopt;
   const int max_n = config_.use_aoi_level ? std::max(g.location.n, g.aoi.n)
                                           : g.location.n;
-  return std::optional<EncodePlan>(std::in_place, max_n, config_.hidden_dim);
+  return std::optional<EncodePlan>(std::in_place, max_n, config_.hidden_dim,
+                                   config_.num_heads);
 }
 
 std::vector<RtpPrediction> M2g4Rtp::PredictBatch(

@@ -7,6 +7,7 @@ namespace m2g::core {
 SortLstm::SortLstm(int node_dim, int pos_dim, float pos_base,
                    int lstm_hidden, Rng* rng, int edge_dim)
     : pos_dim_(pos_dim), pos_base_(pos_base), edge_dim_(edge_dim) {
+  M2G_CHECK_GT(edge_dim, 0);
   lstm_ = std::make_unique<nn::LstmCell>(node_dim + pos_dim + edge_dim,
                                          lstm_hidden, rng);
   head_ = std::make_unique<nn::Linear>(lstm_hidden, 1, rng);
@@ -39,18 +40,16 @@ std::vector<Tensor> SortLstm::Forward(const Tensor& nodes,
     Tensor pos = Tensor::Constant(
         PositionalEncoding(s + 1, pos_dim_, pos_base_));
     Tensor input = ConcatCols(Row(nodes, route[s]), pos);  // Eq. 33
-    if (edge_dim_ > 0) {
-      Tensor leg;
-      if (edges.defined()) {
-        // Edge traversed into this node; the self-edge for step 0.
-        const int prev = s == 0 ? route[s] : route[s - 1];
-        leg = Row(edges, prev * n + route[s]);
-        M2G_CHECK_EQ(leg.cols(), edge_dim_);
-      } else {
-        leg = Tensor::Constant(Matrix(1, edge_dim_));
-      }
-      input = ConcatCols(input, leg);
+    Tensor leg;
+    if (edges.defined()) {
+      // Edge traversed into this node; the self-edge for step 0.
+      const int prev = s == 0 ? route[s] : route[s - 1];
+      leg = Row(edges, prev * n + route[s]);
+      M2G_CHECK_EQ(leg.cols(), edge_dim_);
+    } else {
+      leg = Tensor::Constant(Matrix(1, edge_dim_));
     }
+    input = ConcatCols(input, leg);
     state = lstm_->Forward(input, state);
     out[route[s]] = head_->Forward(state.h);  // (1,1)
   }

@@ -18,13 +18,14 @@ namespace m2g::core {
 /// route predictions.
 class SortLstm : public nn::Module {
  public:
-  /// `edge_dim > 0` appends the encoder's representation of the edge
-  /// *traversed into* each step's node (z_{prev,cur}) to the step input —
-  /// the GAT-e edge stream explicitly encodes pairwise distance and
-  /// deadline gaps (Eq. 14), which is exactly the per-leg information an
-  /// arrival-time integrator needs. Step 0 uses the node's self-edge.
+  /// Each step input ends with the encoder's `edge_dim`-wide
+  /// representation of the edge *traversed into* the step's node
+  /// (z_{prev,cur}) — the GAT-e edge stream explicitly encodes pairwise
+  /// distance and deadline gaps (Eq. 14), which is exactly the per-leg
+  /// information an arrival-time integrator needs. Step 0 uses the node's
+  /// self-edge. `edge_dim` must be positive.
   SortLstm(int node_dim, int pos_dim, float pos_base, int lstm_hidden,
-           Rng* rng, int edge_dim = 0);
+           Rng* rng, int edge_dim);
 
   /// `route[s]` = node visited s-th. Returns predictions indexed by NODE
   /// (not by step): out[node] is that node's predicted arrival time, in

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "tensor/grad_mode.h"
+#include "tensor/simd.h"
 
 namespace m2g {
 namespace {
@@ -524,9 +525,22 @@ Tensor Tanh(const Tensor& a) {
 }
 
 Tensor Relu(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return x > 0 ? x : 0.0f; },
-      [](float x, float) { return x > 0 ? 1.0f : 0.0f; });
+  // The dispatched ReLU sweep writes x > 0 ? x : 0.0f per element, the
+  // generic closure's arithmetic; backward multiplies by the same 1/0
+  // mask and adds, one element at a time.
+  Matrix out = a.value();
+  simd::ReluInPlace(out.data(), out.size());
+  NodePtr node = NewNode(std::move(out));
+  NodePtr an = a.node();
+  return MakeOp(node, {an}, [an](TensorNode* self) {
+    if (!an->requires_grad) return;
+    Matrix& g = an->EnsureGrad();
+    const float* x = an->value.data();
+    const float* gy = self->grad.data();
+    for (size_t i = 0, n = g.size(); i < n; ++i) {
+      g[i] += gy[i] * (x[i] > 0 ? 1.0f : 0.0f);
+    }
+  });
 }
 
 Tensor LeakyRelu(const Tensor& a, float negative_slope) {

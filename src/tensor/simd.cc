@@ -1,5 +1,6 @@
 #include "tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +26,8 @@ namespace {
 struct KernelTable {
   Tier tier;
   void (*dense_row)(const float*, int, const float*, int, float*);
+  void (*dense_rows)(const float*, int, int, int, const float*, int, float*,
+                     int);
   void (*gat_logits)(const float*, const float*, float, float, int, float*);
   void (*add)(float*, const float*, size_t);
   void (*relu)(float*, size_t);
@@ -65,6 +68,17 @@ void DenseRowScalar(const float* x, int k, const float* b, int m,
   }
 }
 
+/// The multi-row product as its definition: each output row zeroed, then
+/// the dense row kernel above.
+void DenseRowsScalar(const float* a, int rows, int lda, int k,
+                     const float* b, int m, float* out, int ldo) {
+  for (int r = 0; r < rows; ++r) {
+    float* out_row = out + static_cast<size_t>(r) * ldo;
+    std::fill(out_row, out_row + m, 0.0f);
+    DenseRowScalar(a + static_cast<size_t>(r) * lda, k, b, m, out_row);
+  }
+}
+
 void GatLogitsScalar(const float* s_dst, const float* s_edge_row,
                      float s_src_i, float slope, int n, float* logits) {
   for (int j = 0; j < n; ++j) {
@@ -85,10 +99,63 @@ void ReluScalar(float* a, size_t n) {
 }
 
 constexpr KernelTable kScalarTable = {Tier::kScalar, &DenseRowScalar,
-                                      &GatLogitsScalar, &AddScalar,
-                                      &ReluScalar};
+                                      &DenseRowsScalar, &GatLogitsScalar,
+                                      &AddScalar, &ReluScalar};
 
 #ifdef M2G_SIMD_X86
+
+// --- Row-blocked products (DenseRowsMatMul) --------------------------------
+// A block of R <= 4 rows times one column panel keeps its R x V vector
+// accumulators in registers across the whole p loop: one broadcast of
+// a[r][p] feeds V column vectors, and one load of a b row feeds R rows.
+// Per output element this is still +0.0, then one multiply and one add
+// per term in ascending p, exactly DenseRowsScalar. Columns left over
+// after the vector panels take ColumnTail's scalar loop.
+
+/// One leftover output column c (b and out already offset to it).
+template <int R>
+inline void ColumnTail(const float* a, int lda, int k, const float* b, int m,
+                       float* out, int ldo) {
+  float acc[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) acc[r] = 0.0f;
+  for (int p = 0; p < k; ++p) {
+    const float bv = b[static_cast<size_t>(p) * m];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      acc[r] += a[static_cast<size_t>(r) * lda + p] * bv;
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) out[static_cast<size_t>(r) * ldo] = acc[r];
+}
+
+/// Runs Isa::Block<R> over `rows` in blocks of four rows and one ragged
+/// block of 1-3. Isa::Block carries the tier's target attribute.
+template <typename Isa>
+void RowBlocks(const float* a, int rows, int lda, int k, const float* b,
+               int m, float* out, int ldo) {
+  int r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    Isa::template Block<4>(a + static_cast<size_t>(r) * lda, lda, k, b, m,
+                           out + static_cast<size_t>(r) * ldo, ldo);
+  }
+  a += static_cast<size_t>(r) * lda;
+  out += static_cast<size_t>(r) * ldo;
+  switch (rows - r) {
+    case 3:
+      Isa::template Block<3>(a, lda, k, b, m, out, ldo);
+      break;
+    case 2:
+      Isa::template Block<2>(a, lda, k, b, m, out, ldo);
+      break;
+    case 1:
+      Isa::template Block<1>(a, lda, k, b, m, out, ldo);
+      break;
+    default:
+      break;
+  }
+}
 
 // --- SSE2 tier (4 lanes) ---------------------------------------------------
 // Baseline on x86-64; the explicit target attribute keeps the functions
@@ -137,6 +204,60 @@ __attribute__((target("sse2"))) void DenseRowSse2(const float* x, int k,
     for (; j < m; ++j) out_row[j] += x[p] * brow[j];
   }
 }
+
+/// R rows x V 4-lane vectors of columns.
+template <int R, int V>
+__attribute__((target("sse2"))) inline void PanelSse2(const float* a, int lda,
+                                                      int k, const float* b,
+                                                      int m, float* out,
+                                                      int ldo) {
+  __m128 acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm_setzero_ps();
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<size_t>(p) * m;
+    __m128 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) bv[v] = _mm_loadu_ps(brow + 4 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m128 av = _mm_set1_ps(a[static_cast<size_t>(r) * lda + p]);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm_add_ps(acc[r][v], _mm_mul_ps(av, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      _mm_storeu_ps(out + static_cast<size_t>(r) * ldo + 4 * v, acc[r][v]);
+    }
+  }
+}
+
+struct Sse2Rows {
+  /// R rows: 8-column panels, then one 4-column panel, then ColumnTail.
+  template <int R>
+  __attribute__((target("sse2"))) static void Block(const float* a, int lda,
+                                                    int k, const float* b,
+                                                    int m, float* out,
+                                                    int ldo) {
+    int j = 0;
+    for (; j + 8 <= m; j += 8) {
+      PanelSse2<R, 2>(a, lda, k, b + j, m, out + j, ldo);
+    }
+    if (j + 4 <= m) {
+      PanelSse2<R, 1>(a, lda, k, b + j, m, out + j, ldo);
+      j += 4;
+    }
+    for (; j < m; ++j) ColumnTail<R>(a, lda, k, b + j, m, out + j, ldo);
+  }
+};
 
 __attribute__((target("sse2"))) void GatLogitsSse2(const float* s_dst,
                                                    const float* s_edge_row,
@@ -187,8 +308,9 @@ __attribute__((target("sse2"))) void ReluSse2(float* a, size_t n) {
   for (; i < n; ++i) a[i] = a[i] > 0.0f ? a[i] : 0.0f;
 }
 
-constexpr KernelTable kSse2Table = {Tier::kSse2, &DenseRowSse2,
-                                    &GatLogitsSse2, &AddSse2, &ReluSse2};
+constexpr KernelTable kSse2Table = {Tier::kSse2,          &DenseRowSse2,
+                                    &RowBlocks<Sse2Rows>, &GatLogitsSse2,
+                                    &AddSse2,             &ReluSse2};
 
 // --- AVX2 tier (8 lanes) ---------------------------------------------------
 
@@ -258,6 +380,69 @@ __attribute__((target("avx2"))) void DenseRowAvx2(const float* x, int k,
   }
 }
 
+/// R rows x V 8-lane vectors of columns.
+template <int R, int V>
+__attribute__((target("avx2"))) inline void PanelAvx2(const float* a, int lda,
+                                                      int k, const float* b,
+                                                      int m, float* out,
+                                                      int ldo) {
+  __m256 acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<size_t>(p) * m;
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_ps(brow + 8 * v);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 av =
+          _mm256_set1_ps(a[static_cast<size_t>(r) * lda + p]);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      _mm256_storeu_ps(out + static_cast<size_t>(r) * ldo + 8 * v,
+                       acc[r][v]);
+    }
+  }
+}
+
+struct Avx2Rows {
+  /// R rows: 16-column panels, then one 8-, then one 4-column panel,
+  /// then ColumnTail.
+  template <int R>
+  __attribute__((target("avx2"))) static void Block(const float* a, int lda,
+                                                    int k, const float* b,
+                                                    int m, float* out,
+                                                    int ldo) {
+    int j = 0;
+    for (; j + 16 <= m; j += 16) {
+      PanelAvx2<R, 2>(a, lda, k, b + j, m, out + j, ldo);
+    }
+    if (j + 8 <= m) {
+      PanelAvx2<R, 1>(a, lda, k, b + j, m, out + j, ldo);
+      j += 8;
+    }
+    if (j + 4 <= m) {
+      // The d_h = 12 and P = 4 remainders: SSE2's 4-lane panel, inlined
+      // here with VEX encoding.
+      PanelSse2<R, 1>(a, lda, k, b + j, m, out + j, ldo);
+      j += 4;
+    }
+    for (; j < m; ++j) ColumnTail<R>(a, lda, k, b + j, m, out + j, ldo);
+  }
+};
+
 __attribute__((target("avx2"))) void GatLogitsAvx2(const float* s_dst,
                                                    const float* s_edge_row,
                                                    float s_src_i, float slope,
@@ -304,8 +489,9 @@ __attribute__((target("avx2"))) void ReluAvx2(float* a, size_t n) {
   for (; i < n; ++i) a[i] = a[i] > 0.0f ? a[i] : 0.0f;
 }
 
-constexpr KernelTable kAvx2Table = {Tier::kAvx2, &DenseRowAvx2,
-                                    &GatLogitsAvx2, &AddAvx2, &ReluAvx2};
+constexpr KernelTable kAvx2Table = {Tier::kAvx2,          &DenseRowAvx2,
+                                    &RowBlocks<Avx2Rows>, &GatLogitsAvx2,
+                                    &AddAvx2,             &ReluAvx2};
 
 #endif  // M2G_SIMD_X86
 
@@ -430,6 +616,11 @@ const char* TierName(Tier tier) {
 void DenseRowMatMul(const float* x, int k, const float* b, int m,
                     float* out_row) {
   Active()->dense_row(x, k, b, m, out_row);
+}
+
+void DenseRowsMatMul(const float* a, int rows, int lda, int k,
+                     const float* b, int m, float* out, int ldo) {
+  Active()->dense_rows(a, rows, lda, k, b, m, out, ldo);
 }
 
 void GatLogitsRow(const float* s_dst, const float* s_edge_row, float s_src_i,

@@ -18,7 +18,9 @@ namespace m2g::simd {
 // The parity contract every implementation obeys:
 //   * vectorize only across *independent* output elements (columns of
 //     one output row, elements of one elementwise array) — never across
-//     the reduction dimension;
+//     the reduction dimension. Register blocking follows the same rule:
+//     DenseRowsMatMul keeps a block of rows x columns of accumulators
+//     live at once, but each one is still its own chain of adds;
 //   * keep each output element's terms in the canonical ascending-p
 //     accumulation order, one add at a time;
 //   * use separate multiply and add instructions (the SIMD translation
@@ -29,6 +31,12 @@ namespace m2g::simd {
 // what the scalar mulss/addss pair computes on element l, so every tier
 // is bit-for-bit identical to the scalar reference (simd_parity_test
 // pins this on ragged shapes, denormals, and ±inf/NaN inputs).
+//
+// Kernels write straight into the caller's destination rows (strided
+// where the caller packs several results side by side) and allocate
+// nothing: the encode fast path relies on that to keep its n^2-sized
+// products out of any per-thread scratch (docs/architecture.md,
+// "Encode fast path").
 //
 // Overrides, in precedence order:
 //   * M2G_SIMD environment variable, read once at first kernel use:
@@ -66,11 +74,12 @@ bool ParseTierName(const char* name, Tier* out);
 const char* TierName(Tier tier);
 
 // --- Dispatched kernels -----------------------------------------------------
-// These are the vector-width-sensitive inner loops; the callable
+// These are the vector-width-sensitive inner loops; most callable
 // entry points the rest of the library uses (AccumulateRowMatMul,
 // GatLogitsRow, AffineRaw, ...) live in tensor/matrix.h and forward
 // here. Callers, not these kernels, own path selection: DenseRowMatMul
-// is only reached after the zero-scan chose the dense path.
+// is only reached after the zero-scan chose the dense path, and
+// DenseRowsMatMul has no zero-scan at all (see its comment).
 
 /// out_row[j] += sum_p x[p] * b[p*m + j], terms in ascending-p order per
 /// output element, no zero-skip (the caller's zero-scan guaranteed the
@@ -78,6 +87,29 @@ const char* TierName(Tier tier);
 /// term, which is bitwise-neutral — see AccumulateRowMatMul).
 void DenseRowMatMul(const float* x, int k, const float* b, int m,
                     float* out_row);
+
+/// out[r*ldo + c] = sum_p a[r*lda + p] * b[p*m + c] for r < rows, c < m:
+/// each output element starts from +0.0 and adds its k terms in
+/// ascending p, one multiply and one add per term — per row, exactly
+/// zeroing out_row and calling DenseRowMatMul (the scalar tier is
+/// literally that). The vector tiers hold a block of up to 4 rows times
+/// a 16-lane (AVX2) or 8-lane (SSE2) column panel in registers across
+/// the whole p loop, then narrower panels and scalar columns for the
+/// ragged edges, so one pass over a b row feeds several a rows. b is
+/// (k, m) row-major; out may be a strided slice of a wider buffer
+/// (ldo >= m), and is written, never read.
+///
+/// There is no zero-scan: an exact zero in a contributes a +/-0.0 term
+/// where AccumulateRowMatMul would skip it. That is bitwise-neutral
+/// here: under round-to-nearest adding +/-0.0 changes no accumulator
+/// except -0.0, and an accumulator that starts at +0.0 can never reach
+/// -0.0 (only (-0) + (-0) gives -0); 0 * b is +/-0.0 for finite b, and
+/// model weights are finite (nn::LoadModule rejects anything else). So
+/// with finite b this equals a zeroed row run through
+/// AccumulateRowMatMul, byte for byte (simd_parity_test pins it, with
+/// zeros, denormals and +/-inf/NaN in a).
+void DenseRowsMatMul(const float* a, int rows, int lda, int k,
+                     const float* b, int m, float* out, int ldo);
 
 /// logits[j] = LeakyRelu((s_dst[j] + s_edge_row[j]) + s_src_i), the
 /// GAT-e attention-logit row (tensor/matrix.h GatLogitsRow forwards

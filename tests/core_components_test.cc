@@ -286,7 +286,7 @@ TEST(SortLstmTest, PositionalEncodingProperties) {
 TEST(SortLstmTest, OutputsIndexedByNode) {
   Rng rng(8);
   const int n = 5, d = 10;
-  SortLstm sort_lstm(d, 4, 10000.0f, 12, &rng);
+  SortLstm sort_lstm(d, 4, 10000.0f, 12, &rng, /*edge_dim=*/d);
   Tensor nodes = Tensor::Constant(Matrix::Random(n, d, -1, 1, &rng));
   std::vector<int> route = {4, 2, 0, 3, 1};
   auto times = sort_lstm.Forward(nodes, route);
@@ -300,7 +300,7 @@ TEST(SortLstmTest, OutputsIndexedByNode) {
 TEST(SortLstmTest, RouteOrderChangesPredictions) {
   Rng rng(9);
   const int n = 4, d = 10;
-  SortLstm sort_lstm(d, 4, 10000.0f, 12, &rng);
+  SortLstm sort_lstm(d, 4, 10000.0f, 12, &rng, /*edge_dim=*/d);
   Tensor nodes = Tensor::Constant(Matrix::Random(n, d, -1, 1, &rng));
   auto t1 = sort_lstm.Forward(nodes, {0, 1, 2, 3});
   auto t2 = sort_lstm.Forward(nodes, {3, 2, 1, 0});
@@ -316,7 +316,7 @@ TEST(SortLstmTest, LearnsPositionDependentTargets) {
   // positional encodings.
   Rng rng(10);
   const int n = 6, d = 8;
-  SortLstm sort_lstm(d, 8, 10000.0f, 16, &rng);
+  SortLstm sort_lstm(d, 8, 10000.0f, 16, &rng, /*edge_dim=*/d);
   Tensor nodes = Tensor::Constant(Matrix::Random(n, d, -1, 1, &rng));
   std::vector<int> route = {5, 3, 0, 1, 4, 2};
   nn::Adam opt(sort_lstm.Parameters(), 0.02f);

@@ -123,7 +123,7 @@ TEST(ModuleGradcheckTest, RouteDecoderTeacherForcedLoss) {
 TEST(ModuleGradcheckTest, SortLstmL1Objective) {
   Rng rng(4);
   const int n = 4, d = 6;
-  SortLstm sort_lstm(d, 4, 100.0f, 6, &rng);
+  SortLstm sort_lstm(d, 4, 100.0f, 6, &rng, /*edge_dim=*/d);
   Tensor nodes = Tensor::Constant(Matrix::Random(n, d, -1, 1, &rng));
   std::vector<int> route = {1, 3, 0, 2};
   auto loss = [&] {

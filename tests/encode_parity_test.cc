@@ -106,7 +106,7 @@ TEST(EncodeParityTest, FastEncodeMatchesLegacyBitwise) {
       EncodedLevel grad_ref = f.encoder->EncodeLegacy(f.level, f.global);
       NoGradGuard no_grad;
       EncodedLevel nograd_ref = f.encoder->EncodeLegacy(f.level, f.global);
-      EncodePlan plan(n, f.config.hidden_dim);
+      EncodePlan plan(n, f.config.hidden_dim, f.config.num_heads);
       EncodedLevel fast = f.encoder->EncodeFast(f.level, f.global, &plan);
       ExpectBitEqual(fast.nodes.value(), grad_ref.nodes.value(),
                      "nodes vs grad-mode legacy");
@@ -118,7 +118,7 @@ TEST(EncodeParityTest, FastEncodeMatchesLegacyBitwise) {
                      "edges vs no-grad legacy");
       // An oversized plan (serving sizes it to the max level, then reuses
       // it for the smaller one) must not change a single bit.
-      EncodePlan big(n + 13, f.config.hidden_dim);
+      EncodePlan big(n + 13, f.config.hidden_dim, f.config.num_heads);
       EncodedLevel fast_big = f.encoder->EncodeFast(f.level, f.global, &big);
       ExpectBitEqual(fast_big.nodes.value(), fast.nodes.value(),
                      "nodes with oversized plan");
@@ -140,7 +140,7 @@ TEST(EncodeParityTest, GradModeDispatchesToLegacyEvenWithPlan) {
       obs::MetricsRegistry::Global().counter("encode.legacy_layers");
   const uint64_t fast_before = fast_layers.Value();
   const uint64_t legacy_before = legacy_layers.Value();
-  EncodePlan plan(9, f.config.hidden_dim);
+  EncodePlan plan(9, f.config.hidden_dim, f.config.num_heads);
   ASSERT_TRUE(GradMode::enabled());
   EncodedLevel enc = f.encoder->Encode(f.level, f.global, &plan);
 #ifndef M2G_OBS_DISABLED
@@ -251,11 +251,11 @@ TEST(EncodeParityTest, SteadyStateEncodeHasZeroPoolMisses) {
   NoGradGuard no_grad;
   {
     ArenaGuard warmup;
-    EncodePlan plan(20, f.config.hidden_dim);
+    EncodePlan plan(20, f.config.hidden_dim, f.config.num_heads);
     f.encoder->Encode(f.level, f.global, &plan);
   }
   ArenaGuard steady;
-  EncodePlan plan(20, f.config.hidden_dim);
+  EncodePlan plan(20, f.config.hidden_dim, f.config.num_heads);
   f.encoder->Encode(f.level, f.global, &plan);
   const TensorPool::Stats stats = steady.ScopeStats();
   EXPECT_EQ(stats.pool_misses, 0u);
@@ -272,7 +272,7 @@ TEST(EncodeParityTest, ConcurrentEncodeMatchesSerial) {
   {
     NoGradGuard no_grad;
     ArenaGuard scope;
-    EncodePlan plan(15, f.config.hidden_dim);
+    EncodePlan plan(15, f.config.hidden_dim, f.config.num_heads);
     EncodedLevel enc = f.encoder->EncodeFast(f.level, f.global, &plan);
     const Matrix& nv = enc.nodes.value();
     const Matrix& ev = enc.edges.value();
@@ -286,7 +286,7 @@ TEST(EncodeParityTest, ConcurrentEncodeMatchesSerial) {
       NoGradGuard no_grad;  // grad mode is thread-local
       for (int iter = 0; iter < 8; ++iter) {
         ArenaGuard request;
-        EncodePlan plan(15, f.config.hidden_dim);
+        EncodePlan plan(15, f.config.hidden_dim, f.config.num_heads);
         EncodedLevel enc = f.encoder->EncodeFast(f.level, f.global, &plan);
         const Matrix& nv = enc.nodes.value();
         const Matrix& ev = enc.edges.value();

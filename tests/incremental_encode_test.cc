@@ -118,7 +118,7 @@ struct EncoderFixture {
   }
 
   EncodedLevel Full(const graph::LevelGraph& level) {
-    EncodePlan plan(level.n, config.hidden_dim);
+    EncodePlan plan(level.n, config.hidden_dim, config.num_heads);
     return encoder->EncodeFast(level, global, &plan);
   }
 
@@ -138,7 +138,7 @@ int DriveStream(EncoderFixture* f, const std::vector<int>& start,
   LevelEncodeCache cache;
   graph::LevelGraph prev = LevelFromIds(start);
   {
-    EncodePlan plan(prev.n, f->config.hidden_dim);
+    EncodePlan plan(prev.n, f->config.hidden_dim, f->config.num_heads);
     EncodedLevel warm =
         f->encoder->EncodeFast(prev, f->global, &plan, &cache);
     ExpectLevelBitEqual(warm, f->Full(prev), what);
@@ -147,7 +147,8 @@ int DriveStream(EncoderFixture* f, const std::vector<int>& start,
   for (const std::vector<int>& ids : steps) {
     graph::LevelGraph next = LevelFromIds(ids);
     const graph::LevelGraphDelta delta = graph::DiffLevelGraph(prev, next);
-    EncodePlan plan(std::max(prev.n, next.n), f->config.hidden_dim);
+    EncodePlan plan(std::max(prev.n, next.n), f->config.hidden_dim,
+                    f->config.num_heads);
     std::optional<EncodedLevel> got = f->encoder->EncodeDelta(
         next, prev, delta, f->global, &plan, &cache);
     if (got.has_value()) {
@@ -174,7 +175,7 @@ TEST(IncrementalEncodeTest, CachedWarmEncodeMatchesEncodeFastBitwise) {
       for (int i = 0; i < n; ++i) ids.push_back(3 * i);
       graph::LevelGraph level = LevelFromIds(ids);
       LevelEncodeCache cache;
-      EncodePlan plan(n, f.config.hidden_dim);
+      EncodePlan plan(n, f.config.hidden_dim, f.config.num_heads);
       EncodedLevel cached =
           f.encoder->EncodeFast(level, f.global, &plan, &cache);
       ExpectLevelBitEqual(cached, f.Full(level), "warm vs EncodeFast");
@@ -229,7 +230,7 @@ TEST(IncrementalEncodeTest, FeatureDriftOnAlignedNodesBitwise) {
   const std::vector<int> ids{1, 3, 5, 7, 9, 11};
   graph::LevelGraph before = LevelFromIds(ids);
   LevelEncodeCache cache;
-  EncodePlan plan(before.n, f.config.hidden_dim);
+  EncodePlan plan(before.n, f.config.hidden_dim, f.config.num_heads);
   f.encoder->EncodeFast(before, f.global, &plan, &cache);
 
   graph::LevelGraph after = LevelFromIds(ids);
@@ -249,7 +250,7 @@ TEST(IncrementalEncodeTest, IdenticalGraphServesCacheBitwise) {
   const std::vector<int> ids{2, 4, 6, 8};
   graph::LevelGraph level = LevelFromIds(ids);
   LevelEncodeCache cache;
-  EncodePlan plan(level.n, f.config.hidden_dim);
+  EncodePlan plan(level.n, f.config.hidden_dim, f.config.num_heads);
   f.encoder->EncodeFast(level, f.global, &plan, &cache);
   graph::LevelGraph same = LevelFromIds(ids);
   const graph::LevelGraphDelta delta = graph::DiffLevelGraph(level, same);
@@ -266,7 +267,7 @@ TEST(IncrementalEncodeTest, StructuralAndOversizeDeltasRefuse) {
   const std::vector<int> ids{5, 10, 15, 20};
   graph::LevelGraph level = LevelFromIds(ids);
   LevelEncodeCache cache;
-  EncodePlan plan(32, f.config.hidden_dim);
+  EncodePlan plan(32, f.config.hidden_dim, f.config.num_heads);
   f.encoder->EncodeFast(level, f.global, &plan, &cache);
 
   // Permutation: values survive but the numbering moved — structural.
@@ -303,7 +304,7 @@ TEST(IncrementalEncodeTest, DirtySpreadBailsOutToFullEncode) {
   const std::vector<int> ids{1, 2, 3, 4, 5, 6};
   graph::LevelGraph before = LevelFromIds(ids);
   LevelEncodeCache cache;
-  EncodePlan plan(before.n, f.config.hidden_dim);
+  EncodePlan plan(before.n, f.config.hidden_dim, f.config.num_heads);
   f.encoder->EncodeFast(before, f.global, &plan, &cache);
   graph::LevelGraph after = LevelFromIds(ids);
   for (int i = 0; i < after.n; ++i) after.node_continuous.At(i, 0) += 1.0f;

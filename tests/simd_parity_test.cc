@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
@@ -221,6 +222,78 @@ TEST_F(SimdParityTest, DenseRowMatMulDenormals) {
         return out;
       },
       "AccumulateRowMatMul denormal");
+}
+
+TEST_F(SimdParityTest, DenseRowsMatMulMatchesPerRowReferenceOnEveryTier) {
+  // The row-blocked multi-row product behind the GAT-e edge products,
+  // against each row zeroed and run through AccumulateRowMatMul: ragged
+  // row blocks (1-9 rows), every column-panel remainder, strided a and
+  // out (out's gap columns must stay untouched), and rows carrying what
+  // dropping the zero-scan could expose — zeros inside and beyond the
+  // 16-entry scan cap, -0.0, denormals, +/-inf and NaN. Each row holds
+  // at most one kind of nonfinite input, so no output element meets two
+  // NaNs with different payloads.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sentinel = 7.5f;
+  Rng rng(7011);
+  for (int k : {5, 17, 48}) {
+    for (int rows = 1; rows <= 9; ++rows) {
+      for (int m : {1, 4, 12, 13, 48, 49, 52}) {
+        const int lda = k + 3, ldo = m + 5;
+        Matrix a = Matrix::Random(rows, lda, -1.0f, 1.0f, &rng);
+        Matrix b = Matrix::Random(k, m, -1.0f, 1.0f, &rng);
+        b.At(k - 1, 0) = FLT_MIN / 8.0f;  // a denormal weight
+        for (int r = 0; r < rows; ++r) {
+          switch (r % 8) {
+            case 1:  // zeros inside the scan prefix: the skip path
+              a.At(r, 0) = 0.0f;
+              a.At(r, k / 2) = -0.0f;
+              break;
+            case 2:  // zeros only past the scan cap: the dense path
+              a.At(r, k - 1) = 0.0f;
+              a.At(r, std::min(20, k - 1)) = -0.0f;
+              break;
+            case 3:  // denormal activations
+              for (int p = 0; p < k; p += 2) a.At(r, p) = FLT_MIN / 4.0f;
+              break;
+            case 4:
+              a.At(r, k / 3) = inf;
+              a.At(r, k - 1) = 0.0f;
+              break;
+            case 5:
+              a.At(r, k / 2) = -inf;
+              break;
+            case 6:
+              a.At(r, 0) = nan;
+              a.At(r, k - 1) = -0.0f;
+              break;
+            default:  // dense
+              break;
+          }
+        }
+        simd::SetTier(simd::Tier::kScalar);
+        std::vector<float> want(static_cast<size_t>(rows) * ldo, sentinel);
+        for (int r = 0; r < rows; ++r) {
+          float* row = want.data() + static_cast<size_t>(r) * ldo;
+          std::fill(row, row + m, 0.0f);
+          AccumulateRowMatMul(a.data() + static_cast<size_t>(r) * lda, k,
+                              b.data(), m, row);
+        }
+        for (simd::Tier tier : SupportedTiers()) {
+          simd::SetTier(tier);
+          std::vector<float> got(want.size(), sentinel);
+          simd::DenseRowsMatMul(a.data(), rows, lda, k, b.data(), m,
+                                got.data(), ldo);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "tier " << simd::TierName(tier) << " rows=" << rows
+              << " k=" << k << " m=" << m;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(SimdParityTest, GatLogitsRowInfAndNan) {
