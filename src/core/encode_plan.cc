@@ -42,8 +42,9 @@ EncodePlan::EncodePlan(int max_nodes_in, int hidden_dim_in,
   head_rows = Matrix::Uninit(n, d);
   node_out = Matrix::Uninit(n, d);
   edge_out = Matrix::Uninit(nn, d);
-  const int flag_bytes = n + nn;
-  rec_flags = Matrix::Uninit(1, (flag_bytes + 3) / 4);
+  const int flag_bytes =
+      (1 + kDeltaNodeSets) * n + (1 + kDeltaPairSets) * nn;
+  flags = Matrix::Uninit(1, (flag_bytes + 3) / 4);
 }
 
 }  // namespace m2g::core

@@ -47,16 +47,23 @@ struct EncodePlan {
   Matrix node_out;    // (max_n, d)    layer output, pre-residual
   Matrix edge_out;    // (max_n^2, d)  layer output, pre-residual
 
-  /// ForwardFastDelta's recompute sets, one byte per node (max_n) and
-  /// per pair (max_n^2), carved from one pooled buffer so a steady-state
-  /// delta step allocates nothing.
+  /// Byte flags for the delta path, carved from one pooled buffer so a
+  /// steady-state delta step allocates nothing. ForwardFastDelta's
+  /// recompute sets: one byte per node (max_n) and per pair (max_n^2).
   unsigned char* row_rec() {
-    return reinterpret_cast<unsigned char*>(rec_flags.data());
+    return reinterpret_cast<unsigned char*>(flags.data());
   }
   unsigned char* pair_rec() { return row_rec() + max_nodes; }
+  /// LevelEncoder::EncodeDelta's dirty sets: kDeltaNodeSets node sets of
+  /// max_n bytes, then kDeltaPairSets pair sets of max_n^2 bytes.
+  static constexpr int kDeltaNodeSets = 4;
+  static constexpr int kDeltaPairSets = 2;
+  unsigned char* delta_flags() {
+    return pair_rec() + static_cast<size_t>(max_nodes) * max_nodes;
+  }
 
  private:
-  Matrix rec_flags;
+  Matrix flags;
 };
 
 }  // namespace m2g::core

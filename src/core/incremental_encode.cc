@@ -188,14 +188,25 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
     RemapCache(cache, delta, pn);
   }
 
+  // Dirty sets in the plan's scratch (dense n and n*n), zeroed per step.
+  const size_t nn = static_cast<size_t>(n) * n;
+  unsigned char* flags = plan->delta_flags();
+  std::memset(flags, 0,
+              EncodePlan::kDeltaNodeSets * static_cast<size_t>(n) +
+                  EncodePlan::kDeltaPairSets * nn);
+  unsigned char* fresh = flags;
+  unsigned char* row_changed = fresh + n;
+  unsigned char* node_dirty = row_changed + n;
+  unsigned char* out_node = node_dirty + n;
+  unsigned char* pair_dirty = out_node + n;
+  unsigned char* out_pair = pair_dirty + nn;
+
   // 2. Dirty seeds from the raw graphs (cheap, before any float work).
-  std::vector<unsigned char> fresh(n, 0);
   if (delta.kind == LevelDeltaKind::kInsert) fresh[delta.pos] = 1;
 
   // Mask-membership change per attention row, under the index mapping.
   // A fresh column that is masked out does NOT change a row (the reuse
   // case the padded softmax semantics make exact).
-  std::vector<unsigned char> row_changed(n, 0);
   for (int i = 0; i < n; ++i) {
     if (fresh[i]) {
       row_changed[i] = 1;
@@ -224,7 +235,6 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
   // dirty set; fresh-incident pairs have no history and are always
   // dirty.
   const int de = level.edge_features.cols();
-  std::vector<unsigned char> pair_dirty(static_cast<size_t>(n) * n, 0);
   for (int i = 0; i < n; ++i) {
     const int oi = delta.OldIndex(i);
     for (int j = 0; j < n; ++j) {
@@ -251,7 +261,6 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
   nodes = input_proj_->Forward(
       ConcatCols(nodes, BroadcastRows(global_embed, n)));
   const Matrix& h0 = nodes.value();
-  std::vector<unsigned char> node_dirty(n, 0);
   int dirty_count = 0;
   for (int i = 0; i < n; ++i) {
     const bool dirty =
@@ -289,8 +298,6 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
 
   // 5. Layer-by-layer delta forward; each layer reports what actually
   // changed so the dirty frontier stays tight.
-  std::vector<unsigned char> out_node(n, 0);
-  std::vector<unsigned char> out_pair(static_cast<size_t>(n) * n, 0);
   for (size_t l = 0; l < layers_.size(); ++l) {
     GatEDeltaItem item;
     item.n = n;
@@ -302,15 +309,15 @@ std::optional<EncodedLevel> LevelEncoder::EncodeDelta(
     item.block = cache->cap;
     item.ew3 = cache->ew3[l].data();
     item.se = cache->se[l].data();
-    item.node_dirty = node_dirty.data();
-    item.pair_dirty = pair_dirty.data();
-    item.row_changed = row_changed.data();
-    item.fresh = fresh.data();
-    item.out_node_dirty = out_node.data();
-    item.out_pair_dirty = out_pair.data();
+    item.node_dirty = node_dirty;
+    item.pair_dirty = pair_dirty;
+    item.row_changed = row_changed;
+    item.fresh = fresh;
+    item.out_node_dirty = out_node;
+    item.out_pair_dirty = out_pair;
     layers_[l]->ForwardFastDelta(&item, plan);
-    node_dirty.swap(out_node);
-    pair_dirty.swap(out_pair);
+    std::swap(node_dirty, out_node);
+    std::swap(pair_dirty, out_pair);
   }
   cache->n = n;
   return MaterializeOutputs(*cache, n);

@@ -1,6 +1,10 @@
 #include "core/sort_lstm.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "tensor/grad_mode.h"
 
 namespace m2g::core {
 
@@ -17,21 +21,30 @@ SortLstm::SortLstm(int node_dim, int pos_dim, float pos_base,
 
 Matrix SortLstm::PositionalEncoding(int pos, int dim, float base) {
   Matrix p(1, dim);
+  WritePositionalEncoding(pos, dim, base, p.data());
+  return p;
+}
+
+void SortLstm::WritePositionalEncoding(int pos, int dim, float base,
+                                       float* out) {
   for (int k = 0; 2 * k < dim; ++k) {
     const double freq =
         std::pow(static_cast<double>(base),
                  2.0 * k / static_cast<double>(dim));
-    p.At(0, 2 * k) = static_cast<float>(std::sin(pos / freq));
+    out[2 * k] = static_cast<float>(std::sin(pos / freq));
     if (2 * k + 1 < dim) {
-      p.At(0, 2 * k + 1) = static_cast<float>(std::cos(pos / freq));
+      out[2 * k + 1] = static_cast<float>(std::cos(pos / freq));
     }
   }
-  return p;
 }
 
 std::vector<Tensor> SortLstm::Forward(const Tensor& nodes,
                                       const std::vector<int>& route,
                                       const Tensor& edges) const {
+  if (!GradMode::enabled()) {
+    return ForwardRaw(nodes.value(), route,
+                      edges.defined() ? &edges.value() : nullptr);
+  }
   const int n = nodes.rows();
   M2G_CHECK_EQ(static_cast<int>(route.size()), n);
   std::vector<Tensor> out(n);
@@ -52,6 +65,46 @@ std::vector<Tensor> SortLstm::Forward(const Tensor& nodes,
     input = ConcatCols(input, leg);
     state = lstm_->Forward(input, state);
     out[route[s]] = head_->Forward(state.h);  // (1,1)
+  }
+  return out;
+}
+
+std::vector<Tensor> SortLstm::ForwardRaw(const Matrix& nodes,
+                                         const std::vector<int>& route,
+                                         const Matrix* edges) const {
+  const int n = nodes.rows();
+  const int node_dim = nodes.cols();
+  M2G_CHECK_EQ(static_cast<int>(route.size()), n);
+  M2G_CHECK_EQ(node_dim + pos_dim_ + edge_dim_, lstm_->input_size());
+  if (edges != nullptr) {
+    M2G_CHECK_EQ(edges->cols(), edge_dim_);
+    M2G_CHECK_GE(edges->rows(), n * n);
+  }
+  const int H = lstm_->hidden_size();
+  // Zeroed once: without edges the edge slot stays the op chain's zeros.
+  Matrix input(1, lstm_->input_size());
+  float* pos_slot = input.data() + node_dim;
+  float* edge_slot = pos_slot + pos_dim_;
+  const float* x_row = input.data();
+  Matrix h(1, H), c(1, H);
+  Matrix h_next = Matrix::Uninit(1, H), c_next = Matrix::Uninit(1, H);
+  std::vector<Tensor> out(n);
+  for (int s = 0; s < n; ++s) {
+    const int node = route[s];
+    M2G_CHECK(node >= 0 && node < n);
+    std::copy_n(nodes.data() + static_cast<size_t>(node) * node_dim,
+                node_dim, input.data());
+    WritePositionalEncoding(s + 1, pos_dim_, pos_base_, pos_slot);
+    if (edges != nullptr) {
+      const int prev = s == 0 ? node : route[s - 1];
+      std::copy_n(edges->data() +
+                      (static_cast<size_t>(prev) * n + node) * edge_dim_,
+                  edge_dim_, edge_slot);
+    }
+    lstm_->StepRawBatch(&x_row, 1, h, c, &h_next, &c_next);
+    std::swap(h, h_next);
+    std::swap(c, c_next);
+    out[node] = Tensor::Constant(head_->ForwardRaw(h));  // (1,1)
   }
   return out;
 }

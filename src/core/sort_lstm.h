@@ -32,6 +32,10 @@ class SortLstm : public nn::Module {
   /// the model's scaled units. `edges` is the (n*n, edge_dim) encoder
   /// edge stream; pass an undefined Tensor to feed zeros (e.g. the
   /// BiLSTM ablation, which has no edge representations).
+  ///
+  /// With gradients enabled this is the autograd op chain (the training
+  /// path). With gradients disabled on the calling thread it dispatches
+  /// to ForwardRaw, which is bitwise-identical (decode_parity_test).
   std::vector<Tensor> Forward(const Tensor& nodes,
                               const std::vector<int>& route,
                               const Tensor& edges = Tensor()) const;
@@ -39,8 +43,19 @@ class SortLstm : public nn::Module {
   /// Transformer-style sinusoidal encoding of `pos` (1-based in the
   /// paper; we pass the 0-based step index).
   static Matrix PositionalEncoding(int pos, int dim, float base);
+  /// PositionalEncoding's `dim` values written into `out`.
+  static void WritePositionalEncoding(int pos, int dim, float base,
+                                      float* out);
 
  private:
+  /// The no-grad ETA head: per step, one (1, node + pos + edge) input
+  /// row is filled in place (node row, positional encoding, edge row or
+  /// zeros), advanced by LstmCell::StepRawBatch and read out by the
+  /// head's AffineRaw. No autograd nodes; `edges` may be null.
+  std::vector<Tensor> ForwardRaw(const Matrix& nodes,
+                                 const std::vector<int>& route,
+                                 const Matrix* edges) const;
+
   int pos_dim_;
   float pos_base_;
   int edge_dim_;

@@ -22,4 +22,9 @@ Tensor Linear::Forward(const Tensor& x, Activation act) const {
   return Affine(x, weight_, bias_, act);
 }
 
+Matrix Linear::ForwardRaw(const Matrix& x) const {
+  return AffineRaw(x, weight_.value(),
+                   bias_.defined() ? &bias_.value() : nullptr);
+}
+
 }  // namespace m2g::nn

@@ -18,6 +18,9 @@ class Linear : public Module {
   /// Fused activation variant (y = act(x W + b)) — saves the standalone
   /// activation node; bitwise-identical to applying it separately.
   Tensor Forward(const Tensor& x, Activation act) const;
+  /// Forward's value with no autograd node: the same AffineRaw kernel
+  /// the Affine op runs, so bitwise-identical to Forward(x).value().
+  Matrix ForwardRaw(const Matrix& x) const;
 
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }

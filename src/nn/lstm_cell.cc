@@ -68,29 +68,32 @@ void LstmCell::StepRawBatch(const float* const* x_rows, int batch,
   }
   gates.AddInPlace(scratch);
   // The gate elementwise block (h-side add above plus this bias row) is
-  // pure independent-element addition, so it runs through the SIMD tier;
-  // the sigmoid/tanh loop below stays scalar — libm is the bitwise
-  // reference for the transcendentals and has no vector counterpart
-  // with identical rounding.
+  // pure independent-element addition, so it runs through the SIMD tier,
+  // as do both tanh sweeps below (TanhRow is the op chain's Tanh forward,
+  // bit for bit, on every tier). The sigmoids stay scalar: they call
+  // libm exp, which has no owned counterpart yet.
   for (int b = 0; b < batch; ++b) {
     simd::AddInPlace(gates.data() + b * G, bias, G);
   }
   // c' = sigmoid(f) * c + sigmoid(i) * tanh(g); h' = sigmoid(o) * tanh(c'),
   // the exact per-element expressions of the op chain in Forward().
   for (int b = 0; b < batch; ++b) {
-    const float* g = gates.data() + b * G;
+    float* g = gates.data() + b * G;
     const float* cp = c.data() + static_cast<size_t>(b) * H;
     float* ho = h_out->data() + static_cast<size_t>(b) * H;
     float* co = c_out->data() + static_cast<size_t>(b) * H;
+    float* gg = g + 2 * H;
+    float* og = g + 3 * H;
+    simd::TanhRow(gg, gg, H);
     for (int j = 0; j < H; ++j) {
       const float iv = 1.0f / (1.0f + std::exp(-g[j]));
       const float fv = 1.0f / (1.0f + std::exp(-g[H + j]));
-      const float gv = std::tanh(g[2 * H + j]);
-      const float ov = 1.0f / (1.0f + std::exp(-g[3 * H + j]));
-      const float cn = (fv * cp[j]) + (iv * gv);
-      co[j] = cn;
-      ho[j] = ov * std::tanh(cn);
+      og[j] = 1.0f / (1.0f + std::exp(-og[j]));
+      co[j] = (fv * cp[j]) + (iv * gg[j]);
     }
+    // tanh(c') once c' is complete, then the output gate.
+    simd::TanhRow(co, ho, H);
+    for (int j = 0; j < H; ++j) ho[j] = og[j] * ho[j];
   }
 }
 

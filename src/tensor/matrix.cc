@@ -264,14 +264,22 @@ void AccumulateRowMatMul(const float* x, int k, const float* b, int m,
 
 float PointerScoreRow(const float* keys_row, const float* q, const float* v,
                       int d) {
-  // Mirrors MatMulRaw(tanh(keys + q), v) for one row: the (d, 1) product
-  // accumulates in ascending-p order and skips terms whose tanh is
-  // exactly zero, matching the matrix kernel's zero-skip.
+  // Mirrors MatMulRaw(tanh(keys + q), v) for one row. The element-wise
+  // part, keys + q and its tanh, runs a block at a time through the
+  // dispatched tanh kernel (the Tanh op's forward, bit for bit); the
+  // (d, 1) product stays a scalar sum in ascending p that skips terms
+  // whose tanh is exactly zero, matching the matrix kernel's zero-skip.
+  constexpr int kBlock = 64;
+  float t[kBlock];
   float acc = 0.0f;
-  for (int p = 0; p < d; ++p) {
-    const float t = std::tanh(keys_row[p] + q[p]);
-    if (t == 0.0f) continue;
-    acc += t * v[p];
+  for (int p0 = 0; p0 < d; p0 += kBlock) {
+    const int len = std::min(kBlock, d - p0);
+    for (int p = 0; p < len; ++p) t[p] = keys_row[p0 + p] + q[p0 + p];
+    simd::TanhRow(t, t, len);
+    for (int p = 0; p < len; ++p) {
+      if (t[p] == 0.0f) continue;
+      acc += t[p] * v[p0 + p];
+    }
   }
   return acc;
 }

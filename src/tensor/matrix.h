@@ -178,7 +178,9 @@ void AccumulateRowMatMul(const float* x, int k, const float* b, int m,
 ///   sum_p tanh(keys_row[p] + q[p]) * v[p]
 /// with the exact ascending-p order and skip-if-zero of the
 /// AddRowBroadcast -> Tanh -> MatMulRaw composition it replaces, but
-/// without materializing any (n, d) temporaries.
+/// without materializing any (n, d) temporaries. The tanh runs
+/// vectorized over the row (simd::TanhRow, the Tanh op's own kernel);
+/// the reduction stays scalar.
 float PointerScoreRow(const float* keys_row, const float* q, const float* v,
                       int d);
 

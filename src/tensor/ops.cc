@@ -519,9 +519,23 @@ Tensor Sigmoid(const Tensor& a) {
 }
 
 Tensor Tanh(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
+  // Forward on the dispatched tanh kernel (bitwise fdlibm tanhf on every
+  // tier); backward is the generic closure's g += gy * (1 - y * y), one
+  // element at a time.
+  const Matrix& av = a.value();
+  Matrix out = Matrix::Uninit(av.rows(), av.cols());
+  simd::TanhRow(av.data(), out.data(), static_cast<int>(av.size()));
+  NodePtr node = NewNode(std::move(out));
+  NodePtr an = a.node();
+  return MakeOp(node, {an}, [an](TensorNode* self) {
+    if (!an->requires_grad) return;
+    Matrix& g = an->EnsureGrad();
+    const float* y = self->value.data();
+    const float* gy = self->grad.data();
+    for (size_t i = 0, n = g.size(); i < n; ++i) {
+      g[i] += gy[i] * (1.0f - y[i] * y[i]);
+    }
+  });
 }
 
 Tensor Relu(const Tensor& a) {

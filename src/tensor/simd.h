@@ -9,11 +9,11 @@ namespace m2g::simd {
 // Runtime-dispatched SIMD kernel tier.
 //
 // Every hot path in the library (encode/decode fast paths, training
-// matmuls, the LSTM gate block) bottoms out in the handful of row kernels
-// below. They are implemented three times in tensor/simd.cc — scalar,
-// SSE2, AVX2 — with per-function target attributes (no global -march
-// change), and the best tier the CPU supports is selected once at
-// startup via CPUID.
+// matmuls, the LSTM gate block, every tanh) bottoms out in the handful
+// of row kernels below. They are implemented three times in
+// tensor/simd.cc — scalar, SSE2, AVX2 — with per-function target
+// attributes (no global -march change), and the best tier the CPU
+// supports is selected once at startup via CPUID.
 //
 // The parity contract every implementation obeys:
 //   * vectorize only across *independent* output elements (columns of
@@ -31,6 +31,13 @@ namespace m2g::simd {
 // what the scalar mulss/addss pair computes on element l, so every tier
 // is bit-for-bit identical to the scalar reference (simd_parity_test
 // pins this on ragged shapes, denormals, and ±inf/NaN inputs).
+//
+// Transcendentals: tanh is owned. TanhRow is a port of the fdlibm
+// tanhf (and its expm1f) that glibc ships, computed branch-free lane by
+// lane on the vector tiers, so it is bitwise the same on every tier and
+// every host (tools/tanh_sweep checks all 2^32 inputs). exp is still
+// libm: sigmoid and softmax call std::exp, and glibc's expf is an FMA
+// IFUNC on FMA hosts, so owning it would change bytes there.
 //
 // Kernels write straight into the caller's destination rows (strided
 // where the caller packs several results side by side) and allocate
@@ -129,6 +136,16 @@ void AddInPlace(float* a, const float* b, size_t n);
 /// its a > 0 compare mask: false lanes (including NaN and -0.0) become
 /// +0.0, exactly the scalar ternary's 0.0f.
 void ReluInPlace(float* a, size_t n);
+
+/// y[i] = tanh(x[i]) for n independent elements, bitwise the fdlibm
+/// tanhf that glibc (through at least 2.36) ships: the scalar tier is a
+/// port of s_tanhf.c + s_expm1f.c, one float operation per source
+/// operation, and the vector tiers compute every branch of that port
+/// lane by lane and select each lane's branch with compare masks (one
+/// divide for the final z step: (|x| >= 1 ? 2 : -t) / (t + 2)). So the
+/// result is the same on every tier and every host, whatever its libm.
+/// ±0, denormals, ±inf and NaN payloads included. y may alias x.
+void TanhRow(const float* x, float* y, int n);
 
 }  // namespace m2g::simd
 

@@ -5,17 +5,21 @@
 // Also pins the hoisted TeacherForcedLoss (value + every parameter
 // gradient bitwise vs. the legacy step-loop) plus its gradcheck, the
 // deterministic (logp, hyp, node) beam tie-break, and the zero
-// steady-state pool-miss property of the decode loop.
+// steady-state pool-miss property of the decode loop. The ETA head
+// (SortLstm) gets the same pin: its no-grad raw path against its
+// grad-mode op chain.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "core/route_decoder.h"
+#include "core/sort_lstm.h"
 #include "tensor/grad_mode.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -238,6 +242,46 @@ TEST(DecodeParityTest, MatMulWithValueMatchesMatMulBitwise) {
 // After one warm-up request, decode must run entirely off the free lists:
 // the non-owning row-view inputs and the batched step reuse fixed shapes,
 // so a steady-state request makes zero pool misses.
+TEST(DecodeParityTest, EtaHeadNoGradMatchesOpChainBitwise) {
+  struct Dims {
+    int node, pos, hidden, edge;
+  };
+  // The model's widths, and ragged ones that leave vector tails.
+  for (const Dims& dims : {Dims{48, 8, 48, 48}, Dims{13, 5, 20, 11}}) {
+    for (bool pooled : {true, false}) {
+      PoolMode mode(pooled);
+      for (int n : {1, 2, 7, 50}) {
+        Rng rng(300 + n);
+        SortLstm head(dims.node, dims.pos, 10000.0f, dims.hidden, &rng,
+                      dims.edge);
+        const Tensor nodes =
+            Tensor::Constant(Matrix::Random(n, dims.node, -1, 1, &rng));
+        const Tensor edges = Tensor::Constant(
+            Matrix::Random(n * n, dims.edge, -1, 1, &rng));
+        std::vector<int> route(n);
+        for (int s = 0; s < n; ++s) route[s] = (s * 5 + 3) % n;
+        if (n % 5 == 0) std::iota(route.begin(), route.end(), 0);
+        for (bool with_edges : {true, false}) {
+          const Tensor e = with_edges ? edges : Tensor();
+          // Grad mode: the op chain (parameters require grad).
+          const std::vector<Tensor> chain = head.Forward(nodes, route, e);
+          std::vector<Tensor> raw;
+          {
+            NoGradGuard no_grad;
+            ArenaGuard arena;
+            raw = head.Forward(nodes, route, e);
+          }
+          ASSERT_EQ(raw.size(), chain.size());
+          for (int i = 0; i < n; ++i) {
+            ExpectBitEqual(raw[i].value(), chain[i].value(),
+                           with_edges ? "eta with edges" : "eta no edges");
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DecodeParityTest, SteadyStateDecodeHasZeroPoolMisses) {
   PoolMode mode(true);
   TensorPool::ReleaseRetained();

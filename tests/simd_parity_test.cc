@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cfloat>
+#include <cstdint>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -434,6 +436,133 @@ TEST_F(SimdParityTest, ElementwiseKernelsAcrossTiers) {
         },
         "ReluInPlace");
   }
+}
+
+/// {input bits, glibc 2.36 tanhf output bits}.
+struct TanhGolden {
+  uint32_t in;
+  uint32_t out;
+};
+constexpr TanhGolden kTanhGolden[] = {
+#include "tanh_glibc_table.inc"
+};
+
+std::vector<float> FloatsFromBits(const std::vector<uint32_t>& bits) {
+  std::vector<float> out(bits.size());
+  for (size_t i = 0; i < bits.size(); ++i) {
+    out[i] = std::bit_cast<float>(bits[i]);
+  }
+  return out;
+}
+
+/// TanhRow of `x` on the active tier, in place, as a fresh vector.
+std::vector<float> TanhOf(const std::vector<float>& x) {
+  std::vector<float> y = x;
+  simd::TanhRow(y.data(), y.data(), static_cast<int>(y.size()));
+  return y;
+}
+
+TEST_F(SimdParityTest, TanhScalarPortMatchesGlibcTableOnEveryTier) {
+  std::vector<uint32_t> in_bits;
+  for (const TanhGolden& g : kTanhGolden) in_bits.push_back(g.in);
+  const std::vector<float> x = FloatsFromBits(in_bits);
+  for (simd::Tier tier : SupportedTiers()) {
+    simd::SetTier(tier);
+    // Out of place here (in place is covered below).
+    std::vector<float> y(x.size());
+    simd::TanhRow(x.data(), y.data(), static_cast<int>(x.size()));
+    int wrong = 0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      const uint32_t got = std::bit_cast<uint32_t>(y[i]);
+      if (got == kTanhGolden[i].out) continue;
+      if (++wrong <= 5) {
+        ADD_FAILURE() << simd::TierName(tier) << ": tanh(0x" << std::hex
+                      << kTanhGolden[i].in << ") = 0x" << got
+                      << ", glibc 0x" << kTanhGolden[i].out;
+      }
+    }
+    EXPECT_EQ(wrong, 0) << simd::TierName(tier);
+  }
+}
+
+TEST_F(SimdParityTest, TanhBranchBoundariesAndSpecialsAcrossTiers) {
+  // Branch thresholds of tanhf (2^-55, 1, 22) and of expm1f (2^-25,
+  // 0.5 ln2, 1.5 ln2, 27 ln2), each as |x| and as |x|/2 (expm1f sees
+  // 2|x|), +-1 ulp, both signs.
+  std::vector<uint32_t> bits;
+  for (uint32_t b : {0x24000000u, 0x33000000u, 0x3eb17218u, 0x3f800000u,
+                     0x3f851592u, 0x41b00000u, 0x4195b844u}) {
+    for (uint32_t base : {b, b - 0x00800000u}) {
+      for (uint32_t v : {base - 1, base, base + 1}) {
+        bits.push_back(v);
+        bits.push_back(v | 0x80000000u);
+      }
+    }
+  }
+  // +-0, denormals, FLT_MIN, FLT_MAX, +-inf, quiet and signalling NaNs
+  // with payloads.
+  for (uint32_t v : {0x00000000u, 0x00000001u, 0x00400000u, 0x007fffffu,
+                     0x00800000u, 0x7f7fffffu, 0x7f800000u, 0x7f800001u,
+                     0x7fa00000u, 0x7fc00000u, 0x7fd23456u, 0x7fffffffu}) {
+    bits.push_back(v);
+    bits.push_back(v | 0x80000000u);
+  }
+  const std::vector<float> x = FloatsFromBits(bits);
+  ExpectTierParity([&] { return TanhOf(x); }, "TanhRow specials");
+}
+
+TEST_F(SimdParityTest, TanhSampledSweepAcrossTiers) {
+  // About 1M bit patterns at a fixed odd stride: every exponent, both
+  // signs, NaN and inf included.
+  constexpr uint32_t kStride = 4099;
+  std::vector<float> x;
+  x.reserve((uint64_t{1} << 32) / kStride + 1);
+  for (uint64_t v = 0; v < (uint64_t{1} << 32); v += kStride) {
+    x.push_back(std::bit_cast<float>(static_cast<uint32_t>(v)));
+  }
+  ExpectTierParity([&] { return TanhOf(x); }, "TanhRow sweep");
+  // The scalar port over the same inputs, pinned to glibc 2.36's tanhf
+  // by the FNV-1a hash of the output bytes (a table this size would not
+  // be readable): a wrong operation that shifts a few outputs in ten
+  // thousand still changes the hash.
+  simd::SetTier(simd::Tier::kScalar);
+  uint64_t hash = 1469598103934665603ull;
+  for (float y : TanhOf(x)) {
+    const uint32_t bits = std::bit_cast<uint32_t>(y);
+    for (int i = 0; i < 4; ++i) {
+      hash ^= (bits >> (8 * i)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(x.size(), 1047809u);
+  EXPECT_EQ(hash, 0x9b785dac4395d881ull);
+}
+
+TEST_F(SimdParityTest, TanhRaggedLengthsAcrossTiers) {
+  // Lengths 1-17 cover every vector tail, starting at every offset of a
+  // shared buffer (unaligned loads), in place and out of place.
+  Rng rng(7012);
+  const Matrix src = Matrix::Random(1, 40, -4.0f, 4.0f, &rng);
+  for (int n = 1; n <= 17; ++n) {
+    for (int offset : {0, 1, 3}) {
+      const float* x = src.data() + offset;
+      ExpectTierParity(
+          [&] {
+            std::vector<float> y(n + 2, -7.0f);
+            simd::TanhRow(x, y.data() + 1, n);
+            return y;  // y[0] and y[n+1] must keep their sentinel
+          },
+          "TanhRow ragged");
+      ExpectTierParity(
+          [&] { return TanhOf(std::vector<float>(x, x + n)); },
+          "TanhRow ragged in place");
+    }
+  }
+  simd::SetTier(simd::Tier::kScalar);
+  std::vector<float> y(19, -7.0f);
+  simd::TanhRow(src.data(), y.data() + 1, 17);
+  EXPECT_EQ(y[0], -7.0f);
+  EXPECT_EQ(y[18], -7.0f);
 }
 
 TEST_F(SimdParityTest, TierNamesParseAndClamp) {
