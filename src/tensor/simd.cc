@@ -221,6 +221,112 @@ constexpr KernelTable kScalarTable = {
 
 #ifdef M2G_SIMD_X86
 
+// --- Vector tiers ----------------------------------------------------------
+// Each vector kernel is written once, in tensor/simd_vector.inc, over an
+// op set V: the tier's vector types, its lane count and one
+// always_inline wrapper per intrinsic it uses. The body is included once
+// per tier below, under that tier's target attribute, so each copy
+// compiles to that tier's own instructions. A template over the op set
+// could not vary the target attribute per instance, and #pragma GCC
+// target regions are GCC-only; textual inclusion keeps one body, one
+// attribute per copy, and this TU's -ffp-contract=off.
+
+#define M2G_OP(isa) __attribute__((target(isa), always_inline)) static
+
+/// SSE2: 4 lanes. Baseline on x86-64; the explicit target attribute
+/// keeps the functions well-defined on i386 builds too.
+struct Sse2Ops {
+  using F = __m128;
+  using I = __m128i;
+  static constexpr int kLanes = 4;
+  /// The ops of the 4-lane remainder steps, and the low 4 lanes of a
+  /// vector (here all of them; a tier of 4 lanes never takes the step).
+  using Four = Sse2Ops;
+  M2G_OP("sse2") F Low4(F v) { return v; }
+
+  M2G_OP("sse2") F Zero() { return _mm_setzero_ps(); }
+  M2G_OP("sse2") F Set(float v) { return _mm_set1_ps(v); }
+  M2G_OP("sse2") F Load(const float* p) { return _mm_loadu_ps(p); }
+  M2G_OP("sse2") void Store(float* p, F v) { _mm_storeu_ps(p, v); }
+  M2G_OP("sse2") F Add(F a, F b) { return _mm_add_ps(a, b); }
+  M2G_OP("sse2") F Sub(F a, F b) { return _mm_sub_ps(a, b); }
+  M2G_OP("sse2") F Mul(F a, F b) { return _mm_mul_ps(a, b); }
+  M2G_OP("sse2") F Div(F a, F b) { return _mm_div_ps(a, b); }
+  M2G_OP("sse2") F And(F a, F b) { return _mm_and_ps(a, b); }
+  M2G_OP("sse2") F AndNot(F a, F b) { return _mm_andnot_ps(a, b); }
+  M2G_OP("sse2") F Or(F a, F b) { return _mm_or_ps(a, b); }
+  M2G_OP("sse2") F Xor(F a, F b) { return _mm_xor_ps(a, b); }
+  M2G_OP("sse2") F Gt(F a, F b) { return _mm_cmpgt_ps(a, b); }
+  M2G_OP("sse2") F Unord(F a, F b) { return _mm_cmpunord_ps(a, b); }
+  /// m ? a : b lane by lane, as mask arithmetic (SSE2 has no blendv).
+  M2G_OP("sse2") F Select(F m, F a, F b) { return Or(And(m, a), AndNot(m, b)); }
+
+  M2G_OP("sse2") I SetI(int v) { return _mm_set1_epi32(v); }
+  M2G_OP("sse2") I AsI(F v) { return _mm_castps_si128(v); }
+  M2G_OP("sse2") F AsF(I v) { return _mm_castsi128_ps(v); }
+  M2G_OP("sse2") I Cvtt(F v) { return _mm_cvttps_epi32(v); }
+  M2G_OP("sse2") F Cvt(I v) { return _mm_cvtepi32_ps(v); }
+  M2G_OP("sse2") I AndI(I a, I b) { return _mm_and_si128(a, b); }
+  M2G_OP("sse2") I OrI(I a, I b) { return _mm_or_si128(a, b); }
+  M2G_OP("sse2") I AddI(I a, I b) { return _mm_add_epi32(a, b); }
+  M2G_OP("sse2") I SubI(I a, I b) { return _mm_sub_epi32(a, b); }
+  M2G_OP("sse2") I Shl23(I a) { return _mm_slli_epi32(a, 23); }
+  M2G_OP("sse2") I GtI(I a, I b) { return _mm_cmpgt_epi32(a, b); }
+  M2G_OP("sse2") I LtI(I a, I b) { return _mm_cmplt_epi32(a, b); }
+  M2G_OP("sse2") I EqI(I a, I b) { return _mm_cmpeq_epi32(a, b); }
+  M2G_OP("sse2") I SelectI(I m, I a, I b) {
+    return _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b));
+  }
+};
+
+/// AVX2: 8 lanes, and SSE2's ops on the low 4 for the remainder steps
+/// (VEX-encoded, since they are inlined into AVX2-tier functions).
+struct Avx2Ops {
+  using F = __m256;
+  using I = __m256i;
+  static constexpr int kLanes = 8;
+  using Four = Sse2Ops;
+  M2G_OP("avx2") __m128 Low4(F v) { return _mm256_castps256_ps128(v); }
+
+  M2G_OP("avx2") F Zero() { return _mm256_setzero_ps(); }
+  M2G_OP("avx2") F Set(float v) { return _mm256_set1_ps(v); }
+  M2G_OP("avx2") F Load(const float* p) { return _mm256_loadu_ps(p); }
+  M2G_OP("avx2") void Store(float* p, F v) { _mm256_storeu_ps(p, v); }
+  M2G_OP("avx2") F Add(F a, F b) { return _mm256_add_ps(a, b); }
+  M2G_OP("avx2") F Sub(F a, F b) { return _mm256_sub_ps(a, b); }
+  M2G_OP("avx2") F Mul(F a, F b) { return _mm256_mul_ps(a, b); }
+  M2G_OP("avx2") F Div(F a, F b) { return _mm256_div_ps(a, b); }
+  M2G_OP("avx2") F And(F a, F b) { return _mm256_and_ps(a, b); }
+  M2G_OP("avx2") F AndNot(F a, F b) { return _mm256_andnot_ps(a, b); }
+  M2G_OP("avx2") F Or(F a, F b) { return _mm256_or_ps(a, b); }
+  M2G_OP("avx2") F Xor(F a, F b) { return _mm256_xor_ps(a, b); }
+  // Ordered quiet compares: NaN lanes are false, as in the scalar code.
+  M2G_OP("avx2") F Gt(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+  M2G_OP("avx2") F Unord(F a, F b) {
+    return _mm256_cmp_ps(a, b, _CMP_UNORD_Q);
+  }
+  M2G_OP("avx2") F Select(F m, F a, F b) { return _mm256_blendv_ps(b, a, m); }
+
+  M2G_OP("avx2") I SetI(int v) { return _mm256_set1_epi32(v); }
+  M2G_OP("avx2") I AsI(F v) { return _mm256_castps_si256(v); }
+  M2G_OP("avx2") F AsF(I v) { return _mm256_castsi256_ps(v); }
+  M2G_OP("avx2") I Cvtt(F v) { return _mm256_cvttps_epi32(v); }
+  M2G_OP("avx2") F Cvt(I v) { return _mm256_cvtepi32_ps(v); }
+  M2G_OP("avx2") I AndI(I a, I b) { return _mm256_and_si256(a, b); }
+  M2G_OP("avx2") I OrI(I a, I b) { return _mm256_or_si256(a, b); }
+  M2G_OP("avx2") I AddI(I a, I b) { return _mm256_add_epi32(a, b); }
+  M2G_OP("avx2") I SubI(I a, I b) { return _mm256_sub_epi32(a, b); }
+  M2G_OP("avx2") I Shl23(I a) { return _mm256_slli_epi32(a, 23); }
+  M2G_OP("avx2") I GtI(I a, I b) { return _mm256_cmpgt_epi32(a, b); }
+  M2G_OP("avx2") I LtI(I a, I b) { return _mm256_cmpgt_epi32(b, a); }
+  M2G_OP("avx2") I EqI(I a, I b) { return _mm256_cmpeq_epi32(a, b); }
+  M2G_OP("avx2") I SelectI(I m, I a, I b) {
+    return _mm256_blendv_epi8(b, a, m);
+  }
+};
+
+#undef M2G_OP
+
 // --- Row-blocked products (DenseRowsMatMul) --------------------------------
 // A block of R <= 4 rows times one column panel keeps its R x V vector
 // accumulators in registers across the whole p loop: one broadcast of
@@ -247,8 +353,9 @@ inline void ColumnTail(const float* a, int lda, int k, const float* b, int m,
   for (int r = 0; r < R; ++r) out[static_cast<size_t>(r) * ldo] = acc[r];
 }
 
-/// Runs Isa::Block<R> over `rows` in blocks of four rows and one ragged
-/// block of 1-3. Isa::Block carries the tier's target attribute.
+/// Runs Isa::Block<R>, a tier's Rows::Block, over `rows` in blocks of
+/// four rows and one ragged block of 1-3. Isa::Block carries the tier's
+/// target attribute.
 template <typename Isa>
 void RowBlocks(const float* a, int rows, int lda, int k, const float* b,
                int m, float* out, int ldo) {
@@ -274,590 +381,27 @@ void RowBlocks(const float* a, int rows, int lda, int k, const float* b,
   }
 }
 
-// --- SSE2 tier (4 lanes) ---------------------------------------------------
-// Baseline on x86-64; the explicit target attribute keeps the functions
-// well-defined on i386 builds too.
-
-__attribute__((target("sse2"))) void DenseRowSse2(const float* x, int k,
-                                                  const float* b, int m,
-                                                  float* out_row) {
-  int p = 0;
-  for (; p + 4 <= k; p += 4) {
-    const __m128 a0 = _mm_set1_ps(x[p]);
-    const __m128 a1 = _mm_set1_ps(x[p + 1]);
-    const __m128 a2 = _mm_set1_ps(x[p + 2]);
-    const __m128 a3 = _mm_set1_ps(x[p + 3]);
-    const float* b0 = b + static_cast<size_t>(p) * m;
-    const float* b1 = b0 + m;
-    const float* b2 = b1 + m;
-    const float* b3 = b2 + m;
-    int j = 0;
-    for (; j + 4 <= m; j += 4) {
-      __m128 acc = _mm_loadu_ps(out_row + j);
-      acc = _mm_add_ps(acc, _mm_mul_ps(a0, _mm_loadu_ps(b0 + j)));
-      acc = _mm_add_ps(acc, _mm_mul_ps(a1, _mm_loadu_ps(b1 + j)));
-      acc = _mm_add_ps(acc, _mm_mul_ps(a2, _mm_loadu_ps(b2 + j)));
-      acc = _mm_add_ps(acc, _mm_mul_ps(a3, _mm_loadu_ps(b3 + j)));
-      _mm_storeu_ps(out_row + j, acc);
-    }
-    for (; j < m; ++j) {
-      float acc = out_row[j];
-      acc += x[p] * b0[j];
-      acc += x[p + 1] * b1[j];
-      acc += x[p + 2] * b2[j];
-      acc += x[p + 3] * b3[j];
-      out_row[j] = acc;
-    }
-  }
-  for (; p < k; ++p) {
-    const __m128 av = _mm_set1_ps(x[p]);
-    const float* brow = b + static_cast<size_t>(p) * m;
-    int j = 0;
-    for (; j + 4 <= m; j += 4) {
-      _mm_storeu_ps(out_row + j,
-                    _mm_add_ps(_mm_loadu_ps(out_row + j),
-                               _mm_mul_ps(av, _mm_loadu_ps(brow + j))));
-    }
-    for (; j < m; ++j) out_row[j] += x[p] * brow[j];
-  }
-}
-
-/// R rows x V 4-lane vectors of columns.
-template <int R, int V>
-__attribute__((target("sse2"))) inline void PanelSse2(const float* a, int lda,
-                                                      int k, const float* b,
-                                                      int m, float* out,
-                                                      int ldo) {
-  __m128 acc[R][V];
-#pragma GCC unroll 4
-  for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 2
-    for (int v = 0; v < V; ++v) acc[r][v] = _mm_setzero_ps();
-  }
-  for (int p = 0; p < k; ++p) {
-    const float* brow = b + static_cast<size_t>(p) * m;
-    __m128 bv[V];
-#pragma GCC unroll 2
-    for (int v = 0; v < V; ++v) bv[v] = _mm_loadu_ps(brow + 4 * v);
-#pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) {
-      const __m128 av = _mm_set1_ps(a[static_cast<size_t>(r) * lda + p]);
-#pragma GCC unroll 2
-      for (int v = 0; v < V; ++v) {
-        acc[r][v] = _mm_add_ps(acc[r][v], _mm_mul_ps(av, bv[v]));
-      }
-    }
-  }
-#pragma GCC unroll 4
-  for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 2
-    for (int v = 0; v < V; ++v) {
-      _mm_storeu_ps(out + static_cast<size_t>(r) * ldo + 4 * v, acc[r][v]);
-    }
-  }
-}
-
-struct Sse2Rows {
-  /// R rows: 8-column panels, then one 4-column panel, then ColumnTail.
-  template <int R>
-  __attribute__((target("sse2"))) static void Block(const float* a, int lda,
-                                                    int k, const float* b,
-                                                    int m, float* out,
-                                                    int ldo) {
-    int j = 0;
-    for (; j + 8 <= m; j += 8) {
-      PanelSse2<R, 2>(a, lda, k, b + j, m, out + j, ldo);
-    }
-    if (j + 4 <= m) {
-      PanelSse2<R, 1>(a, lda, k, b + j, m, out + j, ldo);
-      j += 4;
-    }
-    for (; j < m; ++j) ColumnTail<R>(a, lda, k, b + j, m, out + j, ldo);
-  }
-};
-
-__attribute__((target("sse2"))) void GatLogitsSse2(const float* s_dst,
-                                                   const float* s_edge_row,
-                                                   float s_src_i, float slope,
-                                                   int n, float* logits) {
-  const __m128 vsrc = _mm_set1_ps(s_src_i);
-  const __m128 vslope = _mm_set1_ps(slope);
-  const __m128 vzero = _mm_setzero_ps();
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m128 t =
-        _mm_add_ps(_mm_loadu_ps(s_dst + j), _mm_loadu_ps(s_edge_row + j));
-    const __m128 pre = _mm_add_ps(t, vsrc);
-    const __m128 neg = _mm_mul_ps(vslope, pre);
-    // pre > 0 ? pre : slope * pre as mask arithmetic (SSE2 has no
-    // blendv): NaN lanes compare false and take the slope * pre arm,
-    // exactly like the scalar ternary.
-    const __m128 gt = _mm_cmpgt_ps(pre, vzero);
-    _mm_storeu_ps(logits + j,
-                  _mm_or_ps(_mm_and_ps(gt, pre), _mm_andnot_ps(gt, neg)));
-  }
-  for (; j < n; ++j) {
-    const float t = s_dst[j] + s_edge_row[j];
-    const float pre = t + s_src_i;
-    logits[j] = pre > 0.0f ? pre : slope * pre;
-  }
-}
-
-__attribute__((target("sse2"))) void AddSse2(float* a, const float* b,
-                                             size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(a + i,
-                  _mm_add_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) a[i] += b[i];
-}
-
-__attribute__((target("sse2"))) void ReluSse2(float* a, size_t n) {
-  const __m128 vzero = _mm_setzero_ps();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128 v = _mm_loadu_ps(a + i);
-    // False lanes (<= 0, -0.0, NaN) become the +0.0 bit pattern — the
-    // scalar ternary's 0.0f.
-    _mm_storeu_ps(a + i, _mm_and_ps(_mm_cmpgt_ps(v, vzero), v));
-  }
-  for (; i < n; ++i) a[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
-// tanh, lane by lane: every lane computes every branch of TanhOne and
-// Expm1ForTanh, and compare masks select each lane's branch. The
-// branches' arithmetic is the scalar port's, one vector op per scalar
-// op, so each lane is bitwise TanhOne of its input.
-
-/// mask ? a : b (SSE2 has no blendv).
-__attribute__((target("sse2"))) inline __m128 SelectSse2(__m128 mask,
-                                                         __m128 a, __m128 b) {
-  return _mm_or_ps(_mm_and_ps(mask, a), _mm_andnot_ps(mask, b));
-}
-
-/// Expm1ForTanh on 4 lanes (same argument domain).
-__attribute__((target("sse2"), always_inline)) inline __m128 Expm1Sse2(
-    __m128 x) {
-  const __m128i hx =
-      _mm_and_si128(_mm_castps_si128(x), _mm_set1_epi32(0x7fffffff));
-  const __m128 sign = _mm_and_ps(x, _mm_set1_ps(-0.0f));
-  // k: 0 up to 0.5 ln2, -1 up to 1.5 ln2 (only negative arguments are
-  // that small), else (int)(x/ln2 +- 0.5). The all-ones compare mask is
-  // that -1. With t = k as a float, hi = x - t*ln2_hi and lo = t*ln2_lo
-  // are the source's hi/lo in all three cases (exactly x and 0 for
-  // k = 0).
-  const __m128i above_half = _mm_cmpgt_epi32(hx, _mm_set1_epi32(0x3eb17218));
-  const __m128i above_mid = _mm_cmpgt_epi32(hx, _mm_set1_epi32(0x3f851591));
-  const __m128i k_far = _mm_cvttps_epi32(
-      _mm_add_ps(_mm_mul_ps(_mm_set1_ps(FromBits(kInvLn2)), x),
-                 _mm_or_ps(_mm_set1_ps(0.5f), sign)));
-  const __m128i k = _mm_or_si128(_mm_and_si128(above_mid, k_far),
-                                 _mm_andnot_si128(above_mid, above_half));
-  const __m128 tk = _mm_cvtepi32_ps(k);
-  const __m128 hi =
-      _mm_sub_ps(x, _mm_mul_ps(tk, _mm_set1_ps(FromBits(kLn2Hi))));
-  const __m128 lo = _mm_mul_ps(tk, _mm_set1_ps(FromBits(kLn2Lo)));
-  const __m128 xr = _mm_sub_ps(hi, lo);
-  const __m128 c = _mm_sub_ps(_mm_sub_ps(hi, xr), lo);
-
-  const __m128 one = _mm_set1_ps(1.0f);
-  const __m128 half = _mm_set1_ps(0.5f);
-  const __m128 hfx = _mm_mul_ps(half, xr);
-  const __m128 hxs = _mm_mul_ps(xr, hfx);
-  __m128 r1 = _mm_add_ps(_mm_set1_ps(FromBits(kQ4)),
-                         _mm_mul_ps(hxs, _mm_set1_ps(FromBits(kQ5))));
-  r1 = _mm_add_ps(_mm_set1_ps(FromBits(kQ3)), _mm_mul_ps(hxs, r1));
-  r1 = _mm_add_ps(_mm_set1_ps(FromBits(kQ2)), _mm_mul_ps(hxs, r1));
-  r1 = _mm_add_ps(_mm_set1_ps(FromBits(kQ1)), _mm_mul_ps(hxs, r1));
-  r1 = _mm_add_ps(one, _mm_mul_ps(hxs, r1));
-  const __m128 t = _mm_sub_ps(_mm_set1_ps(3.0f), _mm_mul_ps(r1, hfx));
-  __m128 e = _mm_mul_ps(
-      hxs, _mm_div_ps(_mm_sub_ps(r1, t),
-                      _mm_sub_ps(_mm_set1_ps(6.0f), _mm_mul_ps(xr, t))));
-  const __m128 r_k0 = _mm_sub_ps(xr, _mm_sub_ps(_mm_mul_ps(xr, e), hxs));
-  e = _mm_sub_ps(_mm_sub_ps(_mm_mul_ps(xr, _mm_sub_ps(e, c)), c), hxs);
-  const __m128 e_minus_x = _mm_sub_ps(e, xr);
-  const __m128 r_km1 = _mm_sub_ps(_mm_mul_ps(half, _mm_sub_ps(xr, e)), half);
-  const __m128i k_exp = _mm_slli_epi32(k, 23);
-  // 2^-k; 1 - 2^-k is exact for k < 23, the source's 0x3f800000 -
-  // (0x1000000 >> k).
-  const __m128 pow2_mk = _mm_castsi128_ps(
-      _mm_slli_epi32(_mm_sub_epi32(_mm_set1_epi32(0x7f), k), 23));
-  const __m128 r_wide = _mm_sub_ps(
-      _mm_castsi128_ps(_mm_add_epi32(
-          _mm_castps_si128(_mm_sub_ps(one, e_minus_x)), k_exp)),
-      one);
-  const __m128 r_mid = _mm_castsi128_ps(_mm_add_epi32(
-      _mm_castps_si128(_mm_sub_ps(_mm_sub_ps(one, pow2_mk), e_minus_x)),
-      k_exp));
-  const __m128 r_high = _mm_castsi128_ps(_mm_add_epi32(
-      _mm_castps_si128(
-          _mm_add_ps(_mm_sub_ps(xr, _mm_add_ps(e, pow2_mk)), one)),
-      k_exp));
-
-  const __m128i high = _mm_cmpgt_epi32(k, _mm_set1_epi32(22));
-  const __m128i wide =
-      _mm_or_si128(_mm_cmpgt_epi32(k, _mm_set1_epi32(56)),
-                   _mm_cmplt_epi32(k, _mm_set1_epi32(-1)));
-  const __m128i km1 = _mm_cmpeq_epi32(k, _mm_set1_epi32(-1));
-  const __m128i k0 = _mm_cmpeq_epi32(k, _mm_setzero_si128());
-  const __m128i tiny = _mm_cmplt_epi32(hx, _mm_set1_epi32(0x33000000));
-  __m128 r = SelectSse2(_mm_castsi128_ps(high), r_high, r_mid);
-  r = SelectSse2(_mm_castsi128_ps(wide), r_wide, r);
-  r = SelectSse2(_mm_castsi128_ps(km1), r_km1, r);
-  r = SelectSse2(_mm_castsi128_ps(k0), r_k0, r);
-  return SelectSse2(_mm_castsi128_ps(tiny), x, r);
-}
-
-/// TanhOne on 4 lanes.
-__attribute__((target("sse2"), always_inline)) inline __m128 TanhVecSse2(
-    __m128 x) {
-  const __m128i ix =
-      _mm_and_si128(_mm_castps_si128(x), _mm_set1_epi32(0x7fffffff));
-  const __m128 sign_bit = _mm_set1_ps(-0.0f);
-  const __m128 sign = _mm_and_ps(x, sign_bit);
-  const __m128 one = _mm_set1_ps(1.0f);
-  const __m128 two = _mm_set1_ps(2.0f);
-  // |x| >= 1: 1 - 2/(expm1(2|x|) + 2); below: -t/(t + 2) with
-  // t = expm1(-2|x|). One divide: (ge1 ? 2 : -t) / (t + 2).
-  const __m128 ge1 =
-      _mm_castsi128_ps(_mm_cmpgt_epi32(ix, _mm_set1_epi32(0x3f7fffff)));
-  const __m128 arg = _mm_xor_ps(_mm_mul_ps(two, _mm_castsi128_ps(ix)),
-                                _mm_andnot_ps(ge1, sign_bit));
-  const __m128 t = Expm1Sse2(arg);
-  const __m128 q = _mm_div_ps(SelectSse2(ge1, two, _mm_xor_ps(t, sign_bit)),
-                              _mm_add_ps(t, two));
-  __m128 z = SelectSse2(ge1, _mm_sub_ps(one, q), q);
-  // |x| >= 22 and +-inf: 1 (1 - tiny rounds to 1), then the sign.
-  const __m128i ge22 = _mm_cmpgt_epi32(ix, _mm_set1_epi32(0x41afffff));
-  z = SelectSse2(_mm_castsi128_ps(ge22), one, z);
-  z = _mm_xor_ps(z, sign);
-  // |x| < 2^-55, +-0 and denormals included: x * (1 + x) (exactly x
-  // for +-0, the source's separate zero case).
-  const __m128i tiny = _mm_cmplt_epi32(ix, _mm_set1_epi32(0x24000000));
-  z = SelectSse2(_mm_castsi128_ps(tiny), _mm_mul_ps(x, _mm_add_ps(one, x)), z);
-  // NaN: the source's 1/x +- 1 is x quieted, as x + x is.
-  return SelectSse2(_mm_cmpunord_ps(x, x), _mm_add_ps(x, x), z);
-}
-
-__attribute__((target("sse2"))) void TanhSse2(const float* x, float* y,
-                                              int n) {
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(y + i, TanhVecSse2(_mm_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    // Ragged tail through one padded vector, so every element takes the
-    // vector code.
-    float buf[4] = {};
-    std::copy(x + i, x + n, buf);
-    _mm_storeu_ps(buf, TanhVecSse2(_mm_loadu_ps(buf)));
-    std::copy(buf, buf + (n - i), y + i);
-  }
-}
+namespace sse2 {
+using V = Sse2Ops;
+#define M2G_TIER __attribute__((target("sse2")))
+#include "tensor/simd_vector.inc"
+#undef M2G_TIER
+}  // namespace sse2
 
 constexpr KernelTable kSse2Table = {
-    Tier::kSse2, &DenseRowSse2, &RowBlocks<Sse2Rows>, &GatLogitsSse2,
-    &AddSse2,    &ReluSse2,     &TanhSse2};
+    Tier::kSse2, &sse2::DenseRow, &RowBlocks<sse2::Rows>, &sse2::GatLogits,
+    &sse2::Add,  &sse2::Relu,     &sse2::Tanh};
 
-// --- AVX2 tier (8 lanes) ---------------------------------------------------
-
-__attribute__((target("avx2"))) void DenseRowAvx2(const float* x, int k,
-                                                  const float* b, int m,
-                                                  float* out_row) {
-  int p = 0;
-  for (; p + 4 <= k; p += 4) {
-    const __m256 a0 = _mm256_set1_ps(x[p]);
-    const __m256 a1 = _mm256_set1_ps(x[p + 1]);
-    const __m256 a2 = _mm256_set1_ps(x[p + 2]);
-    const __m256 a3 = _mm256_set1_ps(x[p + 3]);
-    const float* b0 = b + static_cast<size_t>(p) * m;
-    const float* b1 = b0 + m;
-    const float* b2 = b1 + m;
-    const float* b3 = b2 + m;
-    int j = 0;
-    for (; j + 8 <= m; j += 8) {
-      __m256 acc = _mm256_loadu_ps(out_row + j);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(a0, _mm256_loadu_ps(b0 + j)));
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(a1, _mm256_loadu_ps(b1 + j)));
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(a2, _mm256_loadu_ps(b2 + j)));
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(a3, _mm256_loadu_ps(b3 + j)));
-      _mm256_storeu_ps(out_row + j, acc);
-    }
-    // One 4-lane step before the scalar tail (dh = 12 leaves 4 columns).
-    if (j + 4 <= m) {
-      __m128 acc = _mm_loadu_ps(out_row + j);
-      acc = _mm_add_ps(acc, _mm_mul_ps(_mm256_castps256_ps128(a0),
-                                       _mm_loadu_ps(b0 + j)));
-      acc = _mm_add_ps(acc, _mm_mul_ps(_mm256_castps256_ps128(a1),
-                                       _mm_loadu_ps(b1 + j)));
-      acc = _mm_add_ps(acc, _mm_mul_ps(_mm256_castps256_ps128(a2),
-                                       _mm_loadu_ps(b2 + j)));
-      acc = _mm_add_ps(acc, _mm_mul_ps(_mm256_castps256_ps128(a3),
-                                       _mm_loadu_ps(b3 + j)));
-      _mm_storeu_ps(out_row + j, acc);
-      j += 4;
-    }
-    for (; j < m; ++j) {
-      float acc = out_row[j];
-      acc += x[p] * b0[j];
-      acc += x[p + 1] * b1[j];
-      acc += x[p + 2] * b2[j];
-      acc += x[p + 3] * b3[j];
-      out_row[j] = acc;
-    }
-  }
-  for (; p < k; ++p) {
-    const __m256 av = _mm256_set1_ps(x[p]);
-    const float* brow = b + static_cast<size_t>(p) * m;
-    int j = 0;
-    for (; j + 8 <= m; j += 8) {
-      _mm256_storeu_ps(
-          out_row + j,
-          _mm256_add_ps(_mm256_loadu_ps(out_row + j),
-                        _mm256_mul_ps(av, _mm256_loadu_ps(brow + j))));
-    }
-    if (j + 4 <= m) {
-      _mm_storeu_ps(out_row + j,
-                    _mm_add_ps(_mm_loadu_ps(out_row + j),
-                               _mm_mul_ps(_mm256_castps256_ps128(av),
-                                          _mm_loadu_ps(brow + j))));
-      j += 4;
-    }
-    for (; j < m; ++j) out_row[j] += x[p] * brow[j];
-  }
-}
-
-/// R rows x V 8-lane vectors of columns.
-template <int R, int V>
-__attribute__((target("avx2"))) inline void PanelAvx2(const float* a, int lda,
-                                                      int k, const float* b,
-                                                      int m, float* out,
-                                                      int ldo) {
-  __m256 acc[R][V];
-#pragma GCC unroll 4
-  for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 2
-    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
-  }
-  for (int p = 0; p < k; ++p) {
-    const float* brow = b + static_cast<size_t>(p) * m;
-    __m256 bv[V];
-#pragma GCC unroll 2
-    for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_ps(brow + 8 * v);
-#pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) {
-      const __m256 av =
-          _mm256_set1_ps(a[static_cast<size_t>(r) * lda + p]);
-#pragma GCC unroll 2
-      for (int v = 0; v < V; ++v) {
-        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(av, bv[v]));
-      }
-    }
-  }
-#pragma GCC unroll 4
-  for (int r = 0; r < R; ++r) {
-#pragma GCC unroll 2
-    for (int v = 0; v < V; ++v) {
-      _mm256_storeu_ps(out + static_cast<size_t>(r) * ldo + 8 * v,
-                       acc[r][v]);
-    }
-  }
-}
-
-struct Avx2Rows {
-  /// R rows: 16-column panels, then one 8-, then one 4-column panel,
-  /// then ColumnTail.
-  template <int R>
-  __attribute__((target("avx2"))) static void Block(const float* a, int lda,
-                                                    int k, const float* b,
-                                                    int m, float* out,
-                                                    int ldo) {
-    int j = 0;
-    for (; j + 16 <= m; j += 16) {
-      PanelAvx2<R, 2>(a, lda, k, b + j, m, out + j, ldo);
-    }
-    if (j + 8 <= m) {
-      PanelAvx2<R, 1>(a, lda, k, b + j, m, out + j, ldo);
-      j += 8;
-    }
-    if (j + 4 <= m) {
-      // The d_h = 12 and P = 4 remainders: SSE2's 4-lane panel, inlined
-      // here with VEX encoding.
-      PanelSse2<R, 1>(a, lda, k, b + j, m, out + j, ldo);
-      j += 4;
-    }
-    for (; j < m; ++j) ColumnTail<R>(a, lda, k, b + j, m, out + j, ldo);
-  }
-};
-
-__attribute__((target("avx2"))) void GatLogitsAvx2(const float* s_dst,
-                                                   const float* s_edge_row,
-                                                   float s_src_i, float slope,
-                                                   int n, float* logits) {
-  const __m256 vsrc = _mm256_set1_ps(s_src_i);
-  const __m256 vslope = _mm256_set1_ps(slope);
-  const __m256 vzero = _mm256_setzero_ps();
-  int j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 t = _mm256_add_ps(_mm256_loadu_ps(s_dst + j),
-                                   _mm256_loadu_ps(s_edge_row + j));
-    const __m256 pre = _mm256_add_ps(t, vsrc);
-    const __m256 neg = _mm256_mul_ps(vslope, pre);
-    // Ordered quiet > : NaN lanes select slope * pre like the scalar
-    // ternary's else-branch.
-    const __m256 gt = _mm256_cmp_ps(pre, vzero, _CMP_GT_OQ);
-    _mm256_storeu_ps(logits + j, _mm256_blendv_ps(neg, pre, gt));
-  }
-  for (; j < n; ++j) {
-    const float t = s_dst[j] + s_edge_row[j];
-    const float pre = t + s_src_i;
-    logits[j] = pre > 0.0f ? pre : slope * pre;
-  }
-}
-
-__attribute__((target("avx2"))) void AddAvx2(float* a, const float* b,
-                                             size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        a + i, _mm256_add_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) a[i] += b[i];
-}
-
-__attribute__((target("avx2"))) void ReluAvx2(float* a, size_t n) {
-  const __m256 vzero = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(a + i);
-    _mm256_storeu_ps(
-        a + i, _mm256_and_ps(_mm256_cmp_ps(v, vzero, _CMP_GT_OQ), v));
-  }
-  for (; i < n; ++i) a[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
-// tanh on 8 lanes: TanhVecSse2 / Expm1Sse2 op for op, with blendv for
-// the selects.
-
-__attribute__((target("avx2"), always_inline)) inline __m256 Expm1Avx2(
-    __m256 x) {
-  const __m256i hx =
-      _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fffffff));
-  const __m256 sign = _mm256_and_ps(x, _mm256_set1_ps(-0.0f));
-  const __m256i above_half =
-      _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(0x3eb17218));
-  const __m256i above_mid =
-      _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(0x3f851591));
-  const __m256i k_far = _mm256_cvttps_epi32(
-      _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(FromBits(kInvLn2)), x),
-                    _mm256_or_ps(_mm256_set1_ps(0.5f), sign)));
-  const __m256i k = _mm256_blendv_epi8(above_half, k_far, above_mid);
-  const __m256 tk = _mm256_cvtepi32_ps(k);
-  const __m256 hi =
-      _mm256_sub_ps(x, _mm256_mul_ps(tk, _mm256_set1_ps(FromBits(kLn2Hi))));
-  const __m256 lo = _mm256_mul_ps(tk, _mm256_set1_ps(FromBits(kLn2Lo)));
-  const __m256 xr = _mm256_sub_ps(hi, lo);
-  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr), lo);
-
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 hfx = _mm256_mul_ps(half, xr);
-  const __m256 hxs = _mm256_mul_ps(xr, hfx);
-  __m256 r1 = _mm256_add_ps(_mm256_set1_ps(FromBits(kQ4)),
-                            _mm256_mul_ps(hxs, _mm256_set1_ps(FromBits(kQ5))));
-  r1 = _mm256_add_ps(_mm256_set1_ps(FromBits(kQ3)), _mm256_mul_ps(hxs, r1));
-  r1 = _mm256_add_ps(_mm256_set1_ps(FromBits(kQ2)), _mm256_mul_ps(hxs, r1));
-  r1 = _mm256_add_ps(_mm256_set1_ps(FromBits(kQ1)), _mm256_mul_ps(hxs, r1));
-  r1 = _mm256_add_ps(one, _mm256_mul_ps(hxs, r1));
-  const __m256 t = _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
-  __m256 e = _mm256_mul_ps(
-      hxs,
-      _mm256_div_ps(_mm256_sub_ps(r1, t),
-                    _mm256_sub_ps(_mm256_set1_ps(6.0f), _mm256_mul_ps(xr, t))));
-  const __m256 r_k0 =
-      _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
-  e = _mm256_sub_ps(
-      _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c), hxs);
-  const __m256 e_minus_x = _mm256_sub_ps(e, xr);
-  const __m256 r_km1 =
-      _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(xr, e)), half);
-  const __m256i k_exp = _mm256_slli_epi32(k, 23);
-  const __m256 pow2_mk = _mm256_castsi256_ps(
-      _mm256_slli_epi32(_mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23));
-  const __m256 r_wide = _mm256_sub_ps(
-      _mm256_castsi256_ps(_mm256_add_epi32(
-          _mm256_castps_si256(_mm256_sub_ps(one, e_minus_x)), k_exp)),
-      one);
-  const __m256 r_mid = _mm256_castsi256_ps(_mm256_add_epi32(
-      _mm256_castps_si256(
-          _mm256_sub_ps(_mm256_sub_ps(one, pow2_mk), e_minus_x)),
-      k_exp));
-  const __m256 r_high = _mm256_castsi256_ps(_mm256_add_epi32(
-      _mm256_castps_si256(_mm256_add_ps(
-          _mm256_sub_ps(xr, _mm256_add_ps(e, pow2_mk)), one)),
-      k_exp));
-
-  const __m256i high = _mm256_cmpgt_epi32(k, _mm256_set1_epi32(22));
-  const __m256i wide =
-      _mm256_or_si256(_mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)),
-                      _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k));
-  const __m256i km1 = _mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1));
-  const __m256i k0 = _mm256_cmpeq_epi32(k, _mm256_setzero_si256());
-  const __m256i tiny = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x33000000), hx);
-  __m256 r = _mm256_blendv_ps(r_mid, r_high, _mm256_castsi256_ps(high));
-  r = _mm256_blendv_ps(r, r_wide, _mm256_castsi256_ps(wide));
-  r = _mm256_blendv_ps(r, r_km1, _mm256_castsi256_ps(km1));
-  r = _mm256_blendv_ps(r, r_k0, _mm256_castsi256_ps(k0));
-  return _mm256_blendv_ps(r, x, _mm256_castsi256_ps(tiny));
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m256 TanhVecAvx2(
-    __m256 x) {
-  const __m256i ix =
-      _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fffffff));
-  const __m256 sign_bit = _mm256_set1_ps(-0.0f);
-  const __m256 sign = _mm256_and_ps(x, sign_bit);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 two = _mm256_set1_ps(2.0f);
-  const __m256 ge1 = _mm256_castsi256_ps(
-      _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x3f7fffff)));
-  const __m256 arg =
-      _mm256_xor_ps(_mm256_mul_ps(two, _mm256_castsi256_ps(ix)),
-                    _mm256_andnot_ps(ge1, sign_bit));
-  const __m256 t = Expm1Avx2(arg);
-  const __m256 q =
-      _mm256_div_ps(_mm256_blendv_ps(_mm256_xor_ps(t, sign_bit), two, ge1),
-                    _mm256_add_ps(t, two));
-  __m256 z = _mm256_blendv_ps(q, _mm256_sub_ps(one, q), ge1);
-  const __m256i ge22 = _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x41afffff));
-  z = _mm256_blendv_ps(z, one, _mm256_castsi256_ps(ge22));
-  z = _mm256_xor_ps(z, sign);
-  const __m256i tiny = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x24000000), ix);
-  z = _mm256_blendv_ps(z, _mm256_mul_ps(x, _mm256_add_ps(one, x)),
-                       _mm256_castsi256_ps(tiny));
-  return _mm256_blendv_ps(z, _mm256_add_ps(x, x),
-                          _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
-}
-
-__attribute__((target("avx2"))) void TanhAvx2(const float* x, float* y,
-                                              int n) {
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i, TanhVecAvx2(_mm256_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    float buf[8] = {};
-    std::copy(x + i, x + n, buf);
-    _mm256_storeu_ps(buf, TanhVecAvx2(_mm256_loadu_ps(buf)));
-    std::copy(buf, buf + (n - i), y + i);
-  }
-}
+namespace avx2 {
+using V = Avx2Ops;
+#define M2G_TIER __attribute__((target("avx2")))
+#include "tensor/simd_vector.inc"
+#undef M2G_TIER
+}  // namespace avx2
 
 constexpr KernelTable kAvx2Table = {
-    Tier::kAvx2, &DenseRowAvx2, &RowBlocks<Avx2Rows>, &GatLogitsAvx2,
-    &AddAvx2,    &ReluAvx2,     &TanhAvx2};
+    Tier::kAvx2, &avx2::DenseRow, &RowBlocks<avx2::Rows>, &avx2::GatLogits,
+    &avx2::Add,  &avx2::Relu,     &avx2::Tanh};
 
 #endif  // M2G_SIMD_X86
 

@@ -10,10 +10,23 @@ namespace m2g::simd {
 //
 // Every hot path in the library (encode/decode fast paths, training
 // matmuls, the LSTM gate block, every tanh) bottoms out in the handful
-// of row kernels below. They are implemented three times in
-// tensor/simd.cc — scalar, SSE2, AVX2 — with per-function target
-// attributes (no global -march change), and the best tier the CPU
-// supports is selected once at startup via CPUID.
+// of row kernels below. Each comes in three tiers — scalar, SSE2, AVX2 —
+// and the best tier the CPU supports is selected once at startup via
+// CPUID. Each kernel is written twice:
+//   * the scalar tier (tensor/simd.cc) is the plain loop, and the
+//     bitwise oracle simd_parity_test and tools/tanh_sweep compare the
+//     other tiers against;
+//   * one vector body (tensor/simd_vector.inc) is written over an op
+//     set — the tier's vector types, lane count, and one always_inline
+//     wrapper per intrinsic it uses (Sse2Ops: 4 lanes; Avx2Ops: 8 lanes
+//     plus SSE2's ops for its 4-lane remainder steps). simd.cc includes
+//     the body once per tier, inside a namespace whose functions carry
+//     that tier's target attribute (no global -march change). The body
+//     must carry the attribute: compilers refuse to inline
+//     target-specific always_inline ops into a function compiled for a
+//     lesser target, and it is what makes the AVX2 copy VEX-encoded.
+// A new kernel (say, an owned exp) therefore costs a scalar port, one
+// vector body, and whatever ops the op sets still lack.
 //
 // The parity contract every implementation obeys:
 //   * vectorize only across *independent* output elements (columns of

@@ -229,19 +229,21 @@ TEST_F(SimdParityTest, DenseRowMatMulDenormals) {
 TEST_F(SimdParityTest, DenseRowsMatMulMatchesPerRowReferenceOnEveryTier) {
   // The row-blocked multi-row product behind the GAT-e edge products,
   // against each row zeroed and run through AccumulateRowMatMul: ragged
-  // row blocks (1-9 rows), every column-panel remainder, strided a and
-  // out (out's gap columns must stay untouched), and rows carrying what
-  // dropping the zero-scan could expose — zeros inside and beyond the
-  // 16-entry scan cap, -0.0, denormals, +/-inf and NaN. Each row holds
-  // at most one kind of nonfinite input, so no output element meets two
-  // NaNs with different payloads.
+  // row blocks (1-9 rows), every column-panel remainder (m = 24 takes
+  // AVX2's 8-lane panel after a 16-lane one; m = 61 takes every panel
+  // width and a scalar column), strided a and out (out's gap columns
+  // must stay untouched), and rows carrying what dropping the zero-scan
+  // could expose — zeros inside and beyond the 16-entry scan cap, -0.0,
+  // denormals, +/-inf and NaN. Each row holds at most one kind of
+  // nonfinite input, so no output element meets two NaNs with different
+  // payloads.
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float sentinel = 7.5f;
   Rng rng(7011);
   for (int k : {5, 17, 48}) {
     for (int rows = 1; rows <= 9; ++rows) {
-      for (int m : {1, 4, 12, 13, 48, 49, 52}) {
+      for (int m : {1, 4, 12, 13, 24, 48, 49, 52, 61}) {
         const int lda = k + 3, ldo = m + 5;
         Matrix a = Matrix::Random(rows, lda, -1.0f, 1.0f, &rng);
         Matrix b = Matrix::Random(k, m, -1.0f, 1.0f, &rng);
