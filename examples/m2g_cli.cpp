@@ -132,8 +132,8 @@ int Train(const FlagParser& flags) {
   tc.weight_decay =
       static_cast<float>(flags.GetDouble("weight-decay", 0.0));
   tc.verbose = flags.GetBool("verbose", true);
-  // --threads 1 is the bitwise-reproducible serial trainer; N > 1 runs
-  // data-parallel batches; 0 uses every core (M2G_THREADS overridable).
+  // --threads N shards each batch over N workers, bitwise-reproducible
+  // for a fixed N; 0 uses every core (M2G_THREADS overridable).
   tc.threads = flags.GetInt("threads", 1);
   core::Trainer trainer(&model, tc);
   trainer.Fit(data.value().train, data.value().val);

@@ -1,11 +1,8 @@
 #include "baselines/deep_common.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/check.h"
-#include "nn/optimizer.h"
-#include "tensor/ops.h"
 
 namespace m2g::baselines {
 
@@ -27,69 +24,52 @@ core::ModelConfig DeepBaselineConfig::ToModelConfig() const {
   return mc;
 }
 
-void TrainRouteLoop(
-    nn::Module* module,
-    const std::function<Tensor(const synth::Sample&)>& loss_fn,
-    const synth::Dataset& train, const synth::Dataset& val,
-    const DeepBaselineConfig& config) {
-  M2G_CHECK(!train.samples.empty());
-  nn::Adam opt(module->Parameters(), config.learning_rate);
-  Rng rng(config.seed ^ 0x55aa);
+core::TrainConfig DeepBaselineConfig::ToTrainConfig() const {
+  core::TrainConfig tc;
+  tc.epochs = epochs;
+  tc.learning_rate = learning_rate;
+  tc.batch_size = batch_size;
+  tc.grad_clip_norm = grad_clip_norm;
+  tc.early_stop_patience = early_stop_patience;
+  tc.max_samples_per_epoch = max_samples_per_epoch;
+  tc.shuffle_seed = seed ^ 0x55aa;
+  return tc;
+}
 
-  auto evaluate = [&](const synth::Dataset& ds) {
-    if (ds.samples.empty()) return 0.0f;
-    double total = 0;
-    for (const synth::Sample& s : ds.samples) total += loss_fn(s).item();
-    return static_cast<float>(total / ds.samples.size());
-  };
+void RouteBaseline::Fit(const synth::Dataset& train,
+                        const synth::Dataset& val) {
+  core::Trainer trainer(
+      this,
+      [this](const synth::Sample& s, core::LossBreakdown*, Rng*) {
+        return RouteLoss(s);
+      },
+      config_.ToTrainConfig());
+  trainer.Fit(train, val);
+  time_head_->Fit(train, [this](const synth::Sample& s) {
+    return PredictRoute(s);
+  });
+}
 
-  std::vector<int> order(train.samples.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+Tensor RouteBaseline::RouteLoss(const synth::Sample& sample) const {
+  Tensor h = EncodeSample(sample);
+  Tensor u = global_embed_->Embed(sample);
+  return decoder_->TeacherForcedLoss(h, u, sample.route_label);
+}
 
-  float best_val = std::numeric_limits<float>::infinity();
-  std::vector<Matrix> best_params;
-  int stale = 0;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    int limit = static_cast<int>(order.size());
-    if (config.max_samples_per_epoch > 0) {
-      limit = std::min(limit, config.max_samples_per_epoch);
-    }
-    opt.ZeroGrad();
-    int in_batch = 0;
-    double train_total = 0;
-    for (int idx = 0; idx < limit; ++idx) {
-      Tensor loss = loss_fn(train.samples[order[idx]]);
-      train_total += loss.item();
-      Scale(loss, 1.0f / config.batch_size).Backward();
-      if (++in_batch == config.batch_size || idx + 1 == limit) {
-        opt.ClipGradNorm(config.grad_clip_norm);
-        opt.Step();
-        opt.ZeroGrad();
-        in_batch = 0;
-      }
-    }
-    const float val_loss = val.samples.empty()
-                               ? static_cast<float>(train_total / limit)
-                               : evaluate(val);
-    if (val_loss < best_val) {
-      best_val = val_loss;
-      stale = 0;
-      best_params.clear();
-      for (const Tensor& p : module->Parameters()) {
-        best_params.push_back(p.value());
-      }
-    } else if (config.early_stop_patience > 0 &&
-               ++stale >= config.early_stop_patience) {
-      break;
-    }
-  }
-  if (!best_params.empty()) {
-    auto params = module->Parameters();
-    for (size_t i = 0; i < params.size(); ++i) {
-      params[i].node()->value = best_params[i];
-    }
-  }
+std::vector<int> RouteBaseline::PredictRoute(
+    const synth::Sample& sample) const {
+  Tensor h = EncodeSample(sample);
+  Tensor u = global_embed_->Embed(sample);
+  return decoder_->DecodeGreedy(h, u);
+}
+
+core::RtpPrediction RouteBaseline::Predict(
+    const synth::Sample& sample) const {
+  core::RtpPrediction pred;
+  pred.location_route = PredictRoute(sample);
+  pred.location_times_min =
+      time_head_->PredictTimes(sample, pred.location_route);
+  return pred;
 }
 
 }  // namespace m2g::baselines

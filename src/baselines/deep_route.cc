@@ -8,7 +8,8 @@
 
 namespace m2g::baselines {
 
-DeepRoute::DeepRoute(const DeepBaselineConfig& config) : config_(config) {
+DeepRoute::DeepRoute(const DeepBaselineConfig& config)
+    : RouteBaseline(config) {
   core::ModelConfig mc = config.ToModelConfig();
   Rng rng(config.seed);
   feature_embed_ = std::make_unique<core::LevelFeatureEmbed>(
@@ -77,34 +78,6 @@ Tensor DeepRoute::EncodeSample(const synth::Sample& sample) const {
     h = RunLayer(layer, h);
   }
   return h;
-}
-
-void DeepRoute::Fit(const synth::Dataset& train, const synth::Dataset& val) {
-  auto loss_fn = [this](const synth::Sample& s) {
-    Tensor h = EncodeSample(s);
-    Tensor u = global_embed_->Embed(s);
-    return decoder_->TeacherForcedLoss(h, u, s.route_label);
-  };
-  TrainRouteLoop(this, loss_fn, train, val, config_);
-  // Two-step: freeze the route model, fit the plugged time head on its
-  // predicted routes.
-  time_head_->Fit(train, [this](const synth::Sample& s) {
-    return PredictRoute(s);
-  });
-}
-
-std::vector<int> DeepRoute::PredictRoute(const synth::Sample& sample) const {
-  Tensor h = EncodeSample(sample);
-  Tensor u = global_embed_->Embed(sample);
-  return decoder_->DecodeGreedy(h, u);
-}
-
-core::RtpPrediction DeepRoute::Predict(const synth::Sample& sample) const {
-  core::RtpPrediction pred;
-  pred.location_route = PredictRoute(sample);
-  pred.location_times_min =
-      time_head_->PredictTimes(sample, pred.location_route);
-  return pred;
 }
 
 }  // namespace m2g::baselines

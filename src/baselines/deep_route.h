@@ -5,9 +5,6 @@
 #include <vector>
 
 #include "baselines/deep_common.h"
-#include "core/feature_embed.h"
-#include "core/model.h"
-#include "core/route_decoder.h"
 
 namespace m2g::baselines {
 
@@ -15,18 +12,12 @@ namespace m2g::baselines {
 /// the unvisited locations plus an attention-based pointer decoder. Route
 /// only; the paper (and we) bolt a separately-trained PluggedTimeMlp on
 /// top for Table IV.
-class DeepRoute : public nn::Module {
+class DeepRoute : public RouteBaseline {
  public:
   explicit DeepRoute(const DeepBaselineConfig& config);
 
-  void Fit(const synth::Dataset& train, const synth::Dataset& val);
-
-  core::RtpPrediction Predict(const synth::Sample& sample) const;
-
-  std::vector<int> PredictRoute(const synth::Sample& sample) const;
-
   /// Exposed for the scalability bench (route-only inference).
-  Tensor EncodeSample(const synth::Sample& sample) const;
+  Tensor EncodeSample(const synth::Sample& sample) const override;
 
  private:
   struct SelfAttentionLayer {
@@ -38,13 +29,8 @@ class DeepRoute : public nn::Module {
 
   Tensor RunLayer(const SelfAttentionLayer& layer, const Tensor& h) const;
 
-  DeepBaselineConfig config_;
-  std::unique_ptr<core::LevelFeatureEmbed> feature_embed_;
-  std::unique_ptr<core::GlobalFeatureEmbed> global_embed_;
   std::unique_ptr<nn::Linear> input_proj_;
   std::vector<SelfAttentionLayer> layers_;
-  std::unique_ptr<core::AttentionRouteDecoder> decoder_;
-  std::unique_ptr<PluggedTimeMlp> time_head_;
 };
 
 }  // namespace m2g::baselines

@@ -1,15 +1,11 @@
 #include "baselines/fdnet.h"
 
-#include <algorithm>
-
 #include "graph/features.h"
-#include "nn/optimizer.h"
 
 namespace m2g::baselines {
 
-Fdnet::WideDeepTimeHead::WideDeepTimeHead(
-    const PluggedTimeMlp::Config& config, Rng* rng)
-    : config_(config) {
+Fdnet::WideDeepTimeHead::WideDeepTimeHead(const Config& config, Rng* rng)
+    : PluggedTimeHead(config, config.seed ^ 0x77) {
   wide_ = std::make_unique<nn::Linear>(kTimeFeatureDim, 1, rng);
   deep_ = std::make_unique<nn::Mlp>(
       std::vector<int>{kTimeFeatureDim, config.hidden_dim,
@@ -19,53 +15,12 @@ Fdnet::WideDeepTimeHead::WideDeepTimeHead(
   AddChild("deep", deep_.get());
 }
 
-void Fdnet::WideDeepTimeHead::Fit(
-    const synth::Dataset& train,
-    const std::function<std::vector<int>(const synth::Sample&)>& route_fn) {
-  std::vector<Matrix> features;
-  features.reserve(train.samples.size());
-  for (const synth::Sample& s : train.samples) {
-    features.push_back(TimeFeatures(s, route_fn(s)));
-  }
-  nn::Adam opt(Parameters(), config_.learning_rate);
-  Rng rng(config_.seed ^ 0x77);
-  std::vector<int> order(train.samples.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    for (int idx : order) {
-      const synth::Sample& s = train.samples[idx];
-      opt.ZeroGrad();
-      Tensor x = Tensor::Constant(features[idx]);
-      Tensor pred = Add(wide_->Forward(x), deep_->Forward(x));
-      Tensor loss = Tensor::Scalar(0);
-      for (int i = 0; i < s.num_locations(); ++i) {
-        loss = Add(loss,
-                   L1Loss(Row(pred, i),
-                          static_cast<float>(s.time_label_min[i]) /
-                              config_.time_scale_minutes));
-      }
-      Scale(loss, 1.0f / s.num_locations()).Backward();
-      opt.ClipGradNorm(5.0f);
-      opt.Step();
-    }
-  }
+Tensor Fdnet::WideDeepTimeHead::Forward(const Tensor& features) const {
+  return Add(wide_->Forward(features), deep_->Forward(features));
 }
 
-std::vector<double> Fdnet::WideDeepTimeHead::PredictTimes(
-    const synth::Sample& sample, const std::vector<int>& route) const {
-  Tensor x = Tensor::Constant(TimeFeatures(sample, route));
-  Tensor pred = Add(wide_->Forward(x), deep_->Forward(x));
-  std::vector<double> out(route.size());
-  for (size_t i = 0; i < route.size(); ++i) {
-    out[i] = std::max(
-        0.0, static_cast<double>(pred.value().At(static_cast<int>(i), 0)) *
-                 config_.time_scale_minutes);
-  }
-  return out;
-}
-
-Fdnet::Fdnet(const DeepBaselineConfig& config) : config_(config) {
+Fdnet::Fdnet(const DeepBaselineConfig& config)
+    : RouteBaseline(config) {
   core::ModelConfig mc = config.ToModelConfig();
   Rng rng(config.seed);
   feature_embed_ = std::make_unique<core::LevelFeatureEmbed>(
@@ -101,32 +56,6 @@ Tensor Fdnet::EncodeSample(const synth::Sample& sample) const {
     rows.push_back(state.h);
   }
   return encoder_proj_->Forward(ConcatRows(rows));
-}
-
-void Fdnet::Fit(const synth::Dataset& train, const synth::Dataset& val) {
-  auto loss_fn = [this](const synth::Sample& s) {
-    Tensor h = EncodeSample(s);
-    Tensor u = global_embed_->Embed(s);
-    return decoder_->TeacherForcedLoss(h, u, s.route_label);
-  };
-  TrainRouteLoop(this, loss_fn, train, val, config_);
-  time_head_->Fit(train, [this](const synth::Sample& s) {
-    return PredictRoute(s);
-  });
-}
-
-std::vector<int> Fdnet::PredictRoute(const synth::Sample& sample) const {
-  Tensor h = EncodeSample(sample);
-  Tensor u = global_embed_->Embed(sample);
-  return decoder_->DecodeGreedy(h, u);
-}
-
-core::RtpPrediction Fdnet::Predict(const synth::Sample& sample) const {
-  core::RtpPrediction pred;
-  pred.location_route = PredictRoute(sample);
-  pred.location_times_min =
-      time_head_->PredictTimes(sample, pred.location_route);
-  return pred;
 }
 
 }  // namespace m2g::baselines

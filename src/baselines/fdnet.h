@@ -4,9 +4,6 @@
 #include <memory>
 
 #include "baselines/deep_common.h"
-#include "core/feature_embed.h"
-#include "core/model.h"
-#include "core/route_decoder.h"
 #include "nn/lstm_cell.h"
 
 namespace m2g::baselines {
@@ -17,43 +14,28 @@ namespace m2g::baselines {
 /// model's outputs, predicts arrival times. The sequential encoder (which
 /// must impose an arbitrary order on an unordered set) and the two-stage
 /// training are exactly the weaknesses the paper's Table III/IV expose.
-class Fdnet : public nn::Module {
+class Fdnet : public RouteBaseline {
  public:
   explicit Fdnet(const DeepBaselineConfig& config);
 
-  void Fit(const synth::Dataset& train, const synth::Dataset& val);
-
-  core::RtpPrediction Predict(const synth::Sample& sample) const;
-
-  std::vector<int> PredictRoute(const synth::Sample& sample) const;
-
-  Tensor EncodeSample(const synth::Sample& sample) const;
+  Tensor EncodeSample(const synth::Sample& sample) const override;
 
  private:
   /// Wide&Deep time head: wide linear part + deep MLP part over the
   /// route-derived features, summed.
-  class WideDeepTimeHead : public nn::Module {
+  class WideDeepTimeHead : public PluggedTimeHead {
    public:
-    WideDeepTimeHead(const PluggedTimeMlp::Config& config, Rng* rng);
-    void Fit(const synth::Dataset& train,
-             const std::function<std::vector<int>(const synth::Sample&)>&
-                 route_fn);
-    std::vector<double> PredictTimes(const synth::Sample& sample,
-                                     const std::vector<int>& route) const;
+    WideDeepTimeHead(const Config& config, Rng* rng);
 
    private:
-    PluggedTimeMlp::Config config_;
+    Tensor Forward(const Tensor& features) const override;
+
     std::unique_ptr<nn::Linear> wide_;
     std::unique_ptr<nn::Mlp> deep_;
   };
 
-  DeepBaselineConfig config_;
-  std::unique_ptr<core::LevelFeatureEmbed> feature_embed_;
-  std::unique_ptr<core::GlobalFeatureEmbed> global_embed_;
   std::unique_ptr<nn::LstmCell> encoder_lstm_;
   std::unique_ptr<nn::Linear> encoder_proj_;
-  std::unique_ptr<core::AttentionRouteDecoder> decoder_;
-  std::unique_ptr<WideDeepTimeHead> time_head_;
 };
 
 }  // namespace m2g::baselines

@@ -30,7 +30,7 @@ Matrix NormalizedAdjacency(const std::vector<bool>& adjacency, int n) {
 }
 
 Graph2Route::Graph2Route(const DeepBaselineConfig& config)
-    : config_(config) {
+    : RouteBaseline(config) {
   core::ModelConfig mc = config.ToModelConfig();
   Rng rng(config.seed);
   feature_embed_ = std::make_unique<core::LevelFeatureEmbed>(
@@ -77,34 +77,6 @@ Tensor Graph2Route::EncodeSample(const synth::Sample& sample) const {
     h = l == 0 ? activated : Add(h, activated);
   }
   return h;
-}
-
-void Graph2Route::Fit(const synth::Dataset& train,
-                      const synth::Dataset& val) {
-  auto loss_fn = [this](const synth::Sample& s) {
-    Tensor h = EncodeSample(s);
-    Tensor u = global_embed_->Embed(s);
-    return decoder_->TeacherForcedLoss(h, u, s.route_label);
-  };
-  TrainRouteLoop(this, loss_fn, train, val, config_);
-  time_head_->Fit(train, [this](const synth::Sample& s) {
-    return PredictRoute(s);
-  });
-}
-
-std::vector<int> Graph2Route::PredictRoute(
-    const synth::Sample& sample) const {
-  Tensor h = EncodeSample(sample);
-  Tensor u = global_embed_->Embed(sample);
-  return decoder_->DecodeGreedy(h, u);
-}
-
-core::RtpPrediction Graph2Route::Predict(const synth::Sample& sample) const {
-  core::RtpPrediction pred;
-  pred.location_route = PredictRoute(sample);
-  pred.location_times_min =
-      time_head_->PredictTimes(sample, pred.location_route);
-  return pred;
 }
 
 }  // namespace m2g::baselines

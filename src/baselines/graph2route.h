@@ -5,9 +5,6 @@
 #include <vector>
 
 #include "baselines/deep_common.h"
-#include "core/feature_embed.h"
-#include "core/model.h"
-#include "core/route_decoder.h"
 
 namespace m2g::baselines {
 
@@ -16,28 +13,17 @@ namespace m2g::baselines {
 /// decoder. It has the graph inductive bias but no AOI level and no joint
 /// time task; Table IV uses the plugged time head like the other
 /// route-only baselines.
-class Graph2Route : public nn::Module {
+class Graph2Route : public RouteBaseline {
  public:
   explicit Graph2Route(const DeepBaselineConfig& config);
 
-  void Fit(const synth::Dataset& train, const synth::Dataset& val);
-
-  core::RtpPrediction Predict(const synth::Sample& sample) const;
-
-  std::vector<int> PredictRoute(const synth::Sample& sample) const;
-
-  Tensor EncodeSample(const synth::Sample& sample) const;
+  Tensor EncodeSample(const synth::Sample& sample) const override;
 
  private:
-  DeepBaselineConfig config_;
-  std::unique_ptr<core::LevelFeatureEmbed> feature_embed_;
-  std::unique_ptr<core::GlobalFeatureEmbed> global_embed_;
   std::unique_ptr<nn::Linear> input_proj_;
   std::vector<Tensor> gcn_weights_;       // per layer (d, d), neighbours
   std::vector<Tensor> gcn_self_weights_;  // per layer (d, d), self path
   std::vector<Tensor> gcn_biases_;        // per layer (1, d)
-  std::unique_ptr<core::AttentionRouteDecoder> decoder_;
-  std::unique_ptr<PluggedTimeMlp> time_head_;
 };
 
 /// Symmetrically normalized dense adjacency D^{-1/2} (A) D^{-1/2} built

@@ -7,15 +7,10 @@
 
 namespace m2g::baselines {
 
-PluggedTimeMlp::PluggedTimeMlp(const Config& config) : config_(config) {
-  Rng rng(config.seed);
-  mlp_ = std::make_unique<nn::Mlp>(
-      std::vector<int>{kTimeFeatureDim, config.hidden_dim,
-                       config.hidden_dim, 1},
-      &rng);
-}
+PluggedTimeHead::PluggedTimeHead(const Config& config, uint64_t shuffle_seed)
+    : config_(config), shuffle_seed_(shuffle_seed) {}
 
-void PluggedTimeMlp::Fit(
+void PluggedTimeHead::Fit(
     const synth::Dataset& train,
     const std::function<std::vector<int>(const synth::Sample&)>& route_fn) {
   // Precompute features once: routes are fixed (the route model is
@@ -26,8 +21,8 @@ void PluggedTimeMlp::Fit(
     features.push_back(TimeFeatures(s, route_fn(s)));
   }
 
-  nn::Adam opt(mlp_->Parameters(), config_.learning_rate);
-  Rng rng(config_.seed ^ 0xabcdef);
+  nn::Adam opt(Parameters(), config_.learning_rate);
+  Rng rng(shuffle_seed_);
   std::vector<int> order(train.samples.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -35,7 +30,7 @@ void PluggedTimeMlp::Fit(
     for (int idx : order) {
       const synth::Sample& s = train.samples[idx];
       opt.ZeroGrad();
-      Tensor pred = mlp_->Forward(Tensor::Constant(features[idx]));
+      Tensor pred = Forward(Tensor::Constant(features[idx]));
       Tensor loss = Tensor::Scalar(0);
       for (int i = 0; i < s.num_locations(); ++i) {
         loss = Add(loss,
@@ -50,10 +45,9 @@ void PluggedTimeMlp::Fit(
   }
 }
 
-std::vector<double> PluggedTimeMlp::PredictTimes(
+std::vector<double> PluggedTimeHead::PredictTimes(
     const synth::Sample& sample, const std::vector<int>& route) const {
-  Tensor pred =
-      mlp_->Forward(Tensor::Constant(TimeFeatures(sample, route)));
+  Tensor pred = Forward(Tensor::Constant(TimeFeatures(sample, route)));
   std::vector<double> out(route.size());
   for (size_t i = 0; i < route.size(); ++i) {
     out[i] = std::max(
@@ -61,6 +55,20 @@ std::vector<double> PluggedTimeMlp::PredictTimes(
                  config_.time_scale_minutes);
   }
   return out;
+}
+
+PluggedTimeMlp::PluggedTimeMlp(const Config& config)
+    : PluggedTimeHead(config, config.seed ^ 0xabcdef) {
+  Rng rng(config.seed);
+  mlp_ = std::make_unique<nn::Mlp>(
+      std::vector<int>{kTimeFeatureDim, config.hidden_dim,
+                       config.hidden_dim, 1},
+      &rng);
+  AddChild("mlp", mlp_.get());
+}
+
+Tensor PluggedTimeMlp::Forward(const Tensor& features) const {
+  return mlp_->Forward(features);
 }
 
 }  // namespace m2g::baselines

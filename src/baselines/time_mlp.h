@@ -9,11 +9,12 @@
 
 namespace m2g::baselines {
 
-/// The paper's "plugged" time-prediction module (§V-B): a three-layer
-/// fully connected network trained *separately* from the route model. For
-/// each route-only baseline, the time head consumes per-location features
-/// derived from that baseline's predicted route.
-class PluggedTimeMlp {
+/// The paper's "plugged" time-prediction module (§V-B): a network trained
+/// *separately* from the route model. For each route-only baseline, the
+/// time head consumes per-location features derived from that baseline's
+/// predicted route. Subclasses supply the layers; training and prediction
+/// are shared.
+class PluggedTimeHead : public nn::Module {
  public:
   struct Config {
     int hidden_dim = 32;
@@ -23,11 +24,9 @@ class PluggedTimeMlp {
     uint64_t seed = 99;
   };
 
-  explicit PluggedTimeMlp(const Config& config);
-
   /// `route_fn` maps a sample to the route the (already trained) route
   /// model predicts for it; the time head learns arrival gaps on top of
-  /// those routes.
+  /// those routes, one Adam step per sample.
   void Fit(const synth::Dataset& train,
            const std::function<std::vector<int>(const synth::Sample&)>&
                route_fn);
@@ -36,8 +35,28 @@ class PluggedTimeMlp {
   std::vector<double> PredictTimes(const synth::Sample& sample,
                                    const std::vector<int>& route) const;
 
+ protected:
+  /// `shuffle_seed` seeds Fit's per-epoch sample order.
+  PluggedTimeHead(const Config& config, uint64_t shuffle_seed);
+
+  /// Scaled arrival gaps, one row per route position, for a TimeFeatures
+  /// matrix.
+  virtual Tensor Forward(const Tensor& features) const = 0;
+
  private:
   Config config_;
+  uint64_t shuffle_seed_;
+};
+
+/// The three-layer fully connected time head bolted onto DeepRoute and
+/// Graph2Route.
+class PluggedTimeMlp : public PluggedTimeHead {
+ public:
+  explicit PluggedTimeMlp(const Config& config);
+
+ private:
+  Tensor Forward(const Tensor& features) const override;
+
   std::unique_ptr<nn::Mlp> mlp_;
 };
 

@@ -147,9 +147,10 @@ Tensor M2g4Rtp::ComputeLoss(const synth::Sample& sample,
     // decoder sees no train/test mismatch — otherwise the teacher route
     // (faster early optimization). Gradients still flow through the
     // guide times into the shared encoder (unless two-step).
-    Rng* grng = guidance_rng != nullptr ? guidance_rng : &guidance_rng_;
     const bool predicted_guide =
-        grng->NextDouble() < guidance_sampling_prob_;
+        guidance_rng != nullptr
+            ? guidance_rng->NextDouble() < guidance_sampling_prob_
+            : guidance_sampling_prob_ >= 1.0f;
     guide_route = predicted_guide
                       ? aoi_route_decoder_->DecodeGreedy(x_a, u)
                       : sample.aoi_route_label;

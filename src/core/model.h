@@ -46,11 +46,12 @@ class M2g4Rtp : public nn::Module {
 
   /// Teacher-forced multi-task training loss for one sample (Eq. 37-41).
   /// The returned scalar tensor backpropagates into all four task heads
-  /// (subject to the ablation switches). `guidance_rng`, when non-null,
-  /// supplies the scheduled-sampling draw instead of the model's internal
-  /// stream — data-parallel trainers pass a per-sample Rng so concurrent
-  /// ComputeLoss calls are race-free and deterministic for any thread
-  /// count; the default (nullptr) preserves the serial stream exactly.
+  /// (subject to the ablation switches). `guidance_rng` supplies the
+  /// scheduled-sampling draw; the Trainer passes each sample its own
+  /// stream, so concurrent calls are race-free and the result does not
+  /// depend on the thread count. With a null stream there is no draw: the
+  /// guide is the predicted AOI route iff guidance_sampling_prob() >= 1,
+  /// which is what a draw gives at probability 0 or 1.
   Tensor ComputeLoss(const synth::Sample& sample,
                      LossBreakdown* breakdown = nullptr,
                      Rng* guidance_rng = nullptr) const;
@@ -125,7 +126,6 @@ class M2g4Rtp : public nn::Module {
 
   ModelConfig config_;
   float guidance_sampling_prob_ = 1.0f;
-  mutable Rng guidance_rng_{0x6a1dacef00dULL};
   std::unique_ptr<GlobalFeatureEmbed> global_embed_;
   std::unique_ptr<LevelEncoder> location_encoder_;
   std::unique_ptr<LevelEncoder> aoi_encoder_;            // multi-level only

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "nn/optimizer.h"
 #include "obs/trace.h"
 #include "tensor/grad_buffer.h"
 #include "tensor/grad_mode.h"
@@ -15,8 +16,7 @@ namespace m2g::core {
 namespace {
 
 /// splitmix64-style mix for per-sample guidance streams: deterministic in
-/// (seed, epoch, sample) and independent of the thread count, so
-/// data-parallel runs reproduce bitwise for any fixed --threads=N.
+/// (seed, epoch, sample) and independent of the thread count.
 uint64_t MixSeed(uint64_t seed, uint64_t salt, uint64_t index) {
   uint64_t x = seed + 0x9e3779b97f4a7c15ULL * (salt + 1) +
                0xbf58476d1ce4e5b9ULL * (index + 1);
@@ -41,40 +41,36 @@ obs::Histogram& ShardStepHistogram() {
 
 }  // namespace
 
-/// Everything one shard accumulates while walking its slice of a batch:
-/// leaf gradients (redirected via GradBufferScope) and loss statistics,
-/// reduced on the main thread in shard order.
-struct Trainer::ShardAccum {
-  internal::GradBuffer grads;
-  double loss_sum = 0;
-  double aoi_route = 0;
-  double location_route = 0;
-  double aoi_time = 0;
-  double location_time = 0;
-};
-
 Trainer::Trainer(M2g4Rtp* model, const TrainConfig& config)
-    : model_(model), config_(config) {}
+    : Trainer(
+          model,
+          [model](const synth::Sample& sample, LossBreakdown* breakdown,
+                  Rng* guidance_rng) {
+            return model->ComputeLoss(sample, breakdown, guidance_rng);
+          },
+          config) {
+  guided_ = model;
+}
+
+Trainer::Trainer(nn::Module* module, LossFn loss_fn,
+                 const TrainConfig& config)
+    : module_(module),
+      loss_fn_(std::move(loss_fn)),
+      config_(config),
+      pool_(std::make_unique<ThreadPool>(ResolveThreads(config.threads))) {}
 
 Trainer::~Trainer() = default;
 
-ThreadPool* Trainer::Pool(int threads) const {
-  if (pool_ == nullptr || pool_->num_threads() < threads) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
-  return pool_.get();
-}
-
 void Trainer::SnapshotParams() {
   best_params_.clear();
-  for (const Tensor& p : model_->Parameters()) {
+  for (const Tensor& p : module_->Parameters()) {
     best_params_.push_back(p.value());
   }
 }
 
 void Trainer::RestoreParams() {
   if (best_params_.empty()) return;
-  auto params = model_->Parameters();
+  auto params = module_->Parameters();
   M2G_CHECK_EQ(params.size(), best_params_.size());
   for (size_t i = 0; i < params.size(); ++i) {
     params[i].node()->value = best_params_[i];
@@ -86,101 +82,81 @@ float Trainer::Evaluate(const synth::Dataset& dataset) const {
   static obs::Histogram& eval_hist = obs::StageHistogram("train.eval.ms");
   obs::TraceSpan eval_span("train.eval.ms", &eval_hist);
   Stopwatch watch;
-  // Evaluation never backpropagates: no-grad forward is bitwise-identical
-  // and skips all graph construction.
-  NoGradGuard no_grad;
-  const int threads = ResolveThreads(config_.threads);
+  const int64_t n = static_cast<int64_t>(dataset.samples.size());
+  std::vector<float> losses(n);
+  pool_->ParallelForShards(
+      n, pool_->num_threads(), [&](int, int64_t begin, int64_t end) {
+        // Evaluation never backpropagates: no-grad forward is
+        // bitwise-identical and skips all graph construction. Grad mode
+        // is thread-local, so each shard sets it.
+        NoGradGuard no_grad;
+        for (int64_t i = begin; i < end; ++i) {
+          // Per-sample arena: the forward graph's buffers recycle across
+          // samples instead of churning the heap.
+          ArenaGuard arena;
+          Rng grng(MixSeed(config_.shuffle_seed, kEvalSalt,
+                           static_cast<uint64_t>(i)));
+          losses[i] = loss_fn_(dataset.samples[i], nullptr, &grng).item();
+        }
+      });
   double total = 0;
-  if (threads == 1) {
-    for (const synth::Sample& s : dataset.samples) {
-      // Per-sample arena: the forward graph's buffers recycle across
-      // samples instead of churning the heap.
-      ArenaGuard arena;
-      total += model_->ComputeLoss(s).item();
-    }
-  } else {
-    const int64_t n = static_cast<int64_t>(dataset.samples.size());
-    std::vector<double> shard_totals(threads, 0.0);
-    Pool(threads)->ParallelForShards(
-        n, threads, [&](int shard, int64_t begin, int64_t end) {
-          NoGradGuard worker_no_grad;  // grad mode is thread-local
-          double shard_total = 0;
-          for (int64_t i = begin; i < end; ++i) {
-            ArenaGuard arena;  // pool is thread-local, scope per-sample
-            Rng grng(MixSeed(config_.shuffle_seed, kEvalSalt,
-                             static_cast<uint64_t>(i)));
-            shard_total +=
-                model_->ComputeLoss(dataset.samples[i], nullptr, &grng)
-                    .item();
-          }
-          shard_totals[shard] = shard_total;
-        });
-    for (double t : shard_totals) total += t;
-  }
-  const float mean =
-      static_cast<float>(total / dataset.samples.size());
+  for (float loss : losses) total += loss;
+  const float mean = static_cast<float>(total / n);
   obs::MetricsRegistry::Global().gauge("train.eval_loss").Set(mean);
   const double seconds = watch.ElapsedSeconds();
   if (seconds > 0) {
     obs::MetricsRegistry::Global()
         .gauge("train.eval_samples_per_sec")
-        .Set(dataset.samples.size() / seconds);
+        .Set(n / seconds);
   }
   return mean;
 }
 
-void Trainer::RunBatchParallel(const synth::Dataset& train,
-                               const std::vector<int>& order,
-                               int batch_begin, int batch_end, int epoch,
-                               int threads, double* epoch_loss,
-                               LossBreakdown* mean) {
+void Trainer::RunBatch(const synth::Dataset& train,
+                       const std::vector<int>& order,
+                       const std::vector<Tensor>& params, int batch_begin,
+                       int batch_end, int epoch,
+                       std::vector<LossBreakdown>* breakdowns) {
   const int count = batch_end - batch_begin;
-  std::vector<ShardAccum> accums(threads);
-  Pool(threads)->ParallelForShards(
-      count, threads, [&](int shard, int64_t begin, int64_t end) {
+  const int shards = std::min(pool_->num_threads(), count);
+  breakdowns->assign(count, LossBreakdown{});
+  // Shard 0 is the only writer of the parameter grads until the
+  // reduction below, so its buffer stays unused.
+  std::vector<internal::GradBuffer> buffers(shards);
+  pool_->ParallelForShards(
+      count, shards, [&](int shard, int64_t begin, int64_t end) {
         obs::TraceSpan step_span("train.shard_step.ms",
                                  &ShardStepHistogram());
-        ShardAccum& acc = accums[shard];
-        internal::GradBufferScope scope(&acc.grads);
+        internal::GradBufferScope scope(shard == 0 ? nullptr
+                                                   : &buffers[shard]);
         for (int64_t k = begin; k < end; ++k) {
           // Per-sample-graph arena: forward values, node grads and the
-          // backward's kernel scratch all recycle within the shard. The
-          // leaf grads escape into `acc` — safe, Matrix storage is
+          // backward's kernel scratch all recycle. The leaf grads escape
+          // into the parameters or `buffers` — safe, Matrix storage is
           // deeply owned.
           ArenaGuard arena;
           const int idx = order[batch_begin + k];
-          // Per-sample guidance stream: race-free across workers and
-          // identical for every thread count.
           Rng grng(MixSeed(config_.shuffle_seed,
                            static_cast<uint64_t>(epoch),
                            static_cast<uint64_t>(idx)));
-          LossBreakdown bd;
-          Tensor loss = model_->ComputeLoss(train.samples[idx], &bd, &grng);
+          LossBreakdown& bd = (*breakdowns)[k];
+          Tensor loss = loss_fn_(train.samples[idx], &bd, &grng);
+          bd.total = loss.item();
+          // Scale so a batch of accumulated gradients averages the
+          // samples.
           Scale(loss, 1.0f / static_cast<float>(config_.batch_size))
               .Backward();
-          acc.loss_sum += bd.total;
-          acc.aoi_route += bd.aoi_route;
-          acc.location_route += bd.location_route;
-          acc.aoi_time += bd.aoi_time;
-          acc.location_time += bd.location_time;
         }
       });
-  // Deterministic reduction: parameter order outer, shard index inner.
-  auto params = model_->Parameters();
-  for (const Tensor& p : params) {
-    internal::TensorNode* node = p.node().get();
-    for (int s = 0; s < threads; ++s) {
-      if (const Matrix* g = accums[s].grads.Find(node)) {
+  // Deterministic reduction: every parameter adds shards 1..N-1 in shard
+  // order.
+  for (int s = 1; s < shards; ++s) {
+    for (const Tensor& p : params) {
+      internal::TensorNode* node = p.node().get();
+      if (const Matrix* g = buffers[s].Find(node)) {
         node->EnsureGrad().AddInPlace(*g);
       }
     }
-  }
-  for (int s = 0; s < threads; ++s) {
-    *epoch_loss += accums[s].loss_sum;
-    mean->aoi_route += static_cast<float>(accums[s].aoi_route);
-    mean->location_route += static_cast<float>(accums[s].location_route);
-    mean->aoi_time += static_cast<float>(accums[s].aoi_time);
-    mean->location_time += static_cast<float>(accums[s].location_time);
   }
 }
 
@@ -188,9 +164,9 @@ std::vector<EpochStats> Trainer::Fit(const synth::Dataset& train,
                                      const synth::Dataset& val) {
   M2G_CHECK(!train.samples.empty());
   M2G_CHECK_GT(config_.batch_size, 0);
-  const int threads = ResolveThreads(config_.threads);
-  nn::Adam optimizer(model_->Parameters(), config_.learning_rate, 0.9f,
-                     0.999f, 1e-8f, config_.weight_decay);
+  const std::vector<Tensor> params = module_->Parameters();
+  nn::Adam optimizer(params, config_.learning_rate, 0.9f, 0.999f, 1e-8f,
+                     config_.weight_decay);
   Rng rng(config_.shuffle_seed);
 
   std::vector<EpochStats> history;
@@ -199,6 +175,7 @@ std::vector<EpochStats> Trainer::Fit(const synth::Dataset& train,
 
   std::vector<int> order(train.samples.size());
   std::iota(order.begin(), order.end(), 0);
+  std::vector<LossBreakdown> breakdowns;
 
   static obs::Histogram& epoch_hist = obs::StageHistogram("train.epoch.ms");
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -206,12 +183,14 @@ std::vector<EpochStats> Trainer::Fit(const synth::Dataset& train,
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     obs::TraceSpan epoch_span("train.epoch.ms", &epoch_hist);
     Stopwatch epoch_watch;
-    // Anneal the AOI-guidance scheduled sampling: teacher-forced guides
-    // early, inference-aligned guides by the final epoch.
-    model_->set_guidance_sampling_prob(
-        config_.epochs > 1
-            ? static_cast<float>(epoch) / (config_.epochs - 1)
-            : 1.0f);
+    if (guided_ != nullptr) {
+      // Anneal the AOI-guidance scheduled sampling: teacher-forced guides
+      // early, inference-aligned guides by the final epoch.
+      guided_->set_guidance_sampling_prob(
+          config_.epochs > 1
+              ? static_cast<float>(epoch) / (config_.epochs - 1)
+              : 1.0f);
+    }
     rng.Shuffle(&order);
     int limit = static_cast<int>(order.size());
     if (config_.max_samples_per_epoch > 0) {
@@ -222,31 +201,16 @@ std::vector<EpochStats> Trainer::Fit(const synth::Dataset& train,
     optimizer.ZeroGrad();
     for (int batch_begin = 0; batch_begin < limit;
          batch_begin += config_.batch_size) {
-      const int batch_end =
-          std::min(limit, batch_begin + config_.batch_size);
-      if (threads == 1) {
-        // The exact pre-refactor serial path: per-sample graphs
-        // accumulating straight into the shared parameter grads. The
-        // whole batch is one "shard" for the step histogram.
-        obs::TraceSpan step_span("train.shard_step.ms",
-                                 &ShardStepHistogram());
-        for (int idx = batch_begin; idx < batch_end; ++idx) {
-          ArenaGuard arena;  // per-sample graph buffers recycle
-          LossBreakdown bd;
-          Tensor loss = model_->ComputeLoss(train.samples[order[idx]], &bd);
-          // Scale so a batch of accumulated gradients averages the
-          // samples.
-          Scale(loss, 1.0f / static_cast<float>(config_.batch_size))
-              .Backward();
-          epoch_loss += bd.total;
-          mean.aoi_route += bd.aoi_route;
-          mean.location_route += bd.location_route;
-          mean.aoi_time += bd.aoi_time;
-          mean.location_time += bd.location_time;
-        }
-      } else {
-        RunBatchParallel(train, order, batch_begin, batch_end, epoch,
-                         threads, &epoch_loss, &mean);
+      RunBatch(train, order, params, batch_begin,
+               std::min(limit, batch_begin + config_.batch_size), epoch,
+               &breakdowns);
+      // Sample order, whatever the thread count.
+      for (const LossBreakdown& bd : breakdowns) {
+        epoch_loss += bd.total;
+        mean.aoi_route += bd.aoi_route;
+        mean.location_route += bd.location_route;
+        mean.aoi_time += bd.aoi_time;
+        mean.location_time += bd.location_time;
       }
       optimizer.ClipGradNorm(config_.grad_clip_norm);
       optimizer.Step();

@@ -1,12 +1,12 @@
 #ifndef M2G_CORE_TRAINER_H_
 #define M2G_CORE_TRAINER_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/model.h"
-#include "nn/optimizer.h"
 
 namespace m2g::core {
 
@@ -24,13 +24,15 @@ struct TrainConfig {
   bool verbose = false;
   /// Optional cap on train samples per epoch (0 = all), for quick runs.
   int max_samples_per_epoch = 0;
-  /// Data-parallel workers per accumulation batch. 1 (default) is the
-  /// exact serial trainer — bitwise-reproducible legacy behavior. N > 1
-  /// shards each batch over N workers with per-thread gradient buffers,
-  /// reduced deterministically (parameter order, then shard index), so
-  /// results are reproducible for a fixed N and match the serial run
-  /// within float tolerance. 0 resolves to DefaultThreads()
-  /// (M2G_THREADS env or hardware concurrency).
+  /// Workers per accumulation batch. Each batch is split into N
+  /// contiguous shards: shard 0 backpropagates straight into the
+  /// parameter grads, shards 1..N-1 into per-thread buffers added in
+  /// shard order. Every sample draws from its own stream seeded by
+  /// (shuffle_seed, epoch, sample), and losses are summed in sample
+  /// order, so `Evaluate` gives the same bytes for every N and `Fit` is
+  /// bitwise-reproducible for a fixed N (gradient summation order
+  /// depends on N; N = 1 is the plain serial sum). 0 resolves to
+  /// DefaultThreads() (M2G_THREADS env or hardware concurrency).
   int threads = 1;
 };
 
@@ -41,46 +43,53 @@ struct EpochStats {
   LossBreakdown mean_breakdown;
 };
 
-/// Trains any nn::Module-backed RTP model that exposes a ComputeLoss over
-/// samples. Snapshots the best-validation parameters and restores them at
-/// the end (early stopping).
+/// The one training loop for every deep model: shuffle, accumulate
+/// per-sample gradients over a batch, clip, Adam step, validate, stop
+/// early, and restore the best-validation parameters at the end. The
+/// model is an nn::Module plus a per-sample loss; M2G4RTP's constructor
+/// also anneals its AOI-guidance sampling probability from 0 to 1 over
+/// the epochs.
 class Trainer {
  public:
+  /// Scalar training loss for one sample. `breakdown` (may be null)
+  /// receives per-task values; `guidance_rng` is the sample's own
+  /// stream for any random draw the loss makes.
+  using LossFn = std::function<Tensor(const synth::Sample& sample,
+                                      LossBreakdown* breakdown,
+                                      Rng* guidance_rng)>;
+
   Trainer(M2g4Rtp* model, const TrainConfig& config);
+  Trainer(nn::Module* module, LossFn loss_fn, const TrainConfig& config);
   ~Trainer();
 
   /// Runs the full loop; returns per-epoch stats.
   std::vector<EpochStats> Fit(const synth::Dataset& train,
                               const synth::Dataset& val);
 
-  /// Mean total loss over a dataset (no gradient updates; runs the
-  /// forward passes under NoGradGuard, in parallel when threads > 1).
+  /// Mean loss over a dataset: no-grad forwards on the worker pool,
+  /// summed in sample order (the same bytes for every thread count).
+  /// Safe to call from several threads at once.
   float Evaluate(const synth::Dataset& dataset) const;
 
  private:
   void SnapshotParams();
   void RestoreParams();
 
-  /// Per-shard accumulation state of one data-parallel batch.
-  struct ShardAccum;
+  /// Accumulates the gradients of order[batch_begin, batch_end) into the
+  /// grads of `params` (see TrainConfig::threads) and fills `breakdowns`
+  /// with each sample's losses, in batch order.
+  void RunBatch(const synth::Dataset& train, const std::vector<int>& order,
+                const std::vector<Tensor>& params, int batch_begin,
+                int batch_end, int epoch,
+                std::vector<LossBreakdown>* breakdowns);
 
-  /// Data-parallel replacement for the serial per-sample loop of one
-  /// accumulation batch: shards [batch_begin, batch_end) of `order` over
-  /// `threads` workers, backpropagating into per-thread gradient buffers,
-  /// then reduces buffers into the shared parameter grads in
-  /// (parameter-order, shard-index) order.
-  void RunBatchParallel(const synth::Dataset& train,
-                        const std::vector<int>& order, int batch_begin,
-                        int batch_end, int epoch, int threads,
-                        double* epoch_loss, LossBreakdown* mean);
-
-  /// The pool backing Fit/Evaluate when threads > 1 (lazily built).
-  ThreadPool* Pool(int threads) const;
-
-  M2g4Rtp* model_;
+  nn::Module* module_;
+  LossFn loss_fn_;
+  /// The model whose guidance sampling Fit anneals (null for others).
+  M2g4Rtp* guided_ = nullptr;
   TrainConfig config_;
+  std::unique_ptr<ThreadPool> pool_;
   std::vector<Matrix> best_params_;
-  mutable std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace m2g::core

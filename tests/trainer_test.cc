@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
+
+#include "baselines/deep_route.h"
 #include "core/trainer.h"
+#include "nn/optimizer.h"
+#include "tensor/ops.h"
+#include "tensor/pool.h"
 
 namespace m2g::core {
 namespace {
@@ -28,6 +36,104 @@ ModelConfig TinyConfig() {
   c.courier_dim = 8;
   c.pos_enc_dim = 4;
   return c;
+}
+
+/// One epoch of the calls Fit makes at one thread, written out by hand:
+/// per batch, loss -> Scale(1/batch) -> Backward for each sample, then
+/// ClipGradNorm -> Step -> ZeroGrad. perfbench's traced train_epoch
+/// replays exactly this sequence and requires Fit's weights bit for bit.
+void HandLoopEpoch(nn::Module* module,
+                   const std::function<Tensor(const synth::Sample&)>& loss,
+                   const TrainConfig& tc, const synth::Dataset& train) {
+  nn::Adam optimizer(module->Parameters(), tc.learning_rate, 0.9f, 0.999f,
+                     1e-8f, tc.weight_decay);
+  Rng rng(tc.shuffle_seed);
+  std::vector<int> order(train.samples.size());
+  std::iota(order.begin(), order.end(), 0);
+  rng.Shuffle(&order);
+  const int limit = std::min<int>(order.size(), tc.max_samples_per_epoch);
+  optimizer.ZeroGrad();
+  for (int begin = 0; begin < limit; begin += tc.batch_size) {
+    const int end = std::min(limit, begin + tc.batch_size);
+    for (int idx = begin; idx < end; ++idx) {
+      ArenaGuard arena;
+      Scale(loss(train.samples[order[idx]]),
+            1.0f / static_cast<float>(tc.batch_size))
+          .Backward();
+    }
+    optimizer.ClipGradNorm(tc.grad_clip_norm);
+    optimizer.Step();
+    optimizer.ZeroGrad();
+  }
+}
+
+void ExpectSameWeights(const nn::Module& a, const nn::Module& b) {
+  const auto pa = a.Parameters();
+  const auto pb = b.Parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    const Matrix& va = pa[i].value();
+    const Matrix& vb = pb[i].value();
+    ASSERT_TRUE(va.SameShape(vb)) << "param " << i;
+    for (size_t k = 0; k < va.size(); ++k) {
+      ASSERT_EQ(va[k], vb[k]) << "param " << i << " element " << k;
+    }
+  }
+}
+
+TEST(TrainerTest, OneThreadFitMatchesHandLoop) {
+  TrainConfig tc;
+  tc.epochs = 1;
+  tc.threads = 1;
+  tc.max_samples_per_epoch = 20;  // two full batches and a partial one
+  M2g4Rtp fitted(TinyConfig());
+  Trainer(&fitted, tc).Fit(Splits()->train, Splits()->val);
+
+  // One epoch anneals the guidance probability straight to 1, where the
+  // null stream's predicted guide equals every per-sample draw.
+  M2g4Rtp replayed(TinyConfig());
+  replayed.set_guidance_sampling_prob(1.0f);
+  HandLoopEpoch(
+      &replayed,
+      [&](const synth::Sample& s) { return replayed.ComputeLoss(s); }, tc,
+      Splits()->train);
+  ExpectSameWeights(fitted, replayed);
+}
+
+TEST(TrainerTest, DeepBaselineFitMatchesHandLoop) {
+  baselines::DeepBaselineConfig dc;
+  dc.hidden_dim = 16;
+  dc.lstm_hidden_dim = 16;
+  dc.courier_dim = 8;
+  dc.num_layers = 1;
+  dc.num_heads = 2;
+  dc.epochs = 1;
+  dc.max_samples_per_epoch = 20;
+  dc.seed = 31;
+  baselines::DeepRoute fitted(dc);
+  Trainer(
+      &fitted,
+      [&](const synth::Sample& s, LossBreakdown*, Rng*) {
+        return fitted.RouteLoss(s);
+      },
+      dc.ToTrainConfig())
+      .Fit(Splits()->train, Splits()->val);
+
+  // The deep baselines' loop: plain Adam at the config's rate, shuffled
+  // by seed ^ 0x55aa, steps of batch_size samples clipped at
+  // grad_clip_norm.
+  TrainConfig hand;
+  hand.learning_rate = dc.learning_rate;
+  hand.batch_size = dc.batch_size;
+  hand.grad_clip_norm = dc.grad_clip_norm;
+  hand.shuffle_seed = dc.seed ^ 0x55aa;
+  hand.max_samples_per_epoch = dc.max_samples_per_epoch;
+  baselines::DeepRoute replayed(dc);
+  HandLoopEpoch(
+      &replayed,
+      [&](const synth::Sample& s) { return replayed.RouteLoss(s); }, hand,
+      Splits()->train);
+  ExpectSameWeights(fitted, replayed);
 }
 
 TEST(TrainerTest, HistoryLengthBoundedByEpochs) {
