@@ -33,22 +33,6 @@ inline float* HeadSlot(float* out_row, int col0, float* sum) {
   return sum != nullptr ? sum : out_row + col0;
 }
 
-/// Eq. 23/25 for one edge pair and head: dst = ReLU(ew3 + (nw4_i +
-/// nw5_j)) in the autograd association order, then sum_out += dst on the
-/// last layer's later heads (null otherwise). `ew3` may alias `dst`.
-/// Every pointer is hoisted by the caller: this runs n^2 times per head.
-inline void EdgePair(const float* ew3, const float* nw4_row,
-                     const float* nw5_row, int dh, float* dst,
-                     float* sum_out) {
-  for (int c = 0; c < dh; ++c) {
-    const float v = ew3[c] + (nw4_row[c] + nw5_row[c]);
-    dst[c] = v > 0.0f ? v : 0.0f;
-  }
-  if (sum_out != nullptr) {
-    for (int c = 0; c < dh; ++c) sum_out[c] += dst[c];
-  }
-}
-
 }  // namespace
 
 GatELayer::GatELayer(const ModelConfig& config, bool is_last, Rng* rng)
@@ -156,11 +140,12 @@ GatEOutput GatELayer::Forward(const Tensor& nodes, const Tensor& edges,
   return out;
 }
 
-// The row kernels below (with HeadSlot and EdgePair above) are the whole
-// fused layer: ForwardFast runs them over every row and pair,
-// ForwardFastDelta over its dirty sets. Keeping one copy of each is what
-// keeps the two paths byte-identical. They are inline so the per-row and
-// per-pair calls cost nothing in the n^2 loops.
+// The row kernels below (with HeadSlot above and the Eq. 23/25 edge
+// epilogue, simd::GatEdgeRelu) are the whole fused layer: ForwardFast
+// runs them over every row and pair, ForwardFastDelta over its dirty
+// sets. Keeping one copy of each is what keeps the two paths
+// byte-identical. They are inline so the per-row calls cost nothing in
+// the n^2 loops.
 
 inline void GatELayer::PackEdgeWeights(EncodePlan* plan) const {
   const int d = hidden_dim_;
@@ -204,20 +189,30 @@ inline void GatELayer::ProjectNodes(const Head& head, const float* nodes,
                                     int n, EncodePlan* plan) const {
   const int d = hidden_dim_;
   const int dh = head_dim_;
-  // Eq. 20/22 projections into the plan's per-head buffers. The
-  // (1,)-wide products take AccumulateRowMatMul's branchy path, the same
-  // path MatMulRaw picks for them on the autograd graph.
-  MatMulInto(nodes, n, d, head.w1.value().data(), dh, plan->wh.data());
+  // Eq. 20/22 projections into the plan's per-head buffers. The four
+  // dh-wide products (W1, W2, W4, W5) run row-blocked over all n node
+  // rows, straight from the head's own weights. Each element starts from
+  // +0.0 and adds its d terms in ascending p, as the autograd MatMul
+  // does. That MatMul skips exact zeros of `nodes`, which this kernel
+  // adds as +/-0.0 terms: bitwise-neutral for finite weights (the
+  // argument is on simd::DenseRowsMatMul). The (1,)-wide products stay
+  // on MatMulInto: AccumulateRowMatMul's branchy path, the same path
+  // MatMulRaw picks for them on the autograd graph.
+  simd::DenseRowsMatMul(nodes, n, d, d, head.w1.value().data(), dh,
+                        plan->wh.data(), dh);
   MatMulInto(plan->wh.data(), n, dh, head.av_src.value().data(), 1,
              plan->s_src.data());
   MatMulInto(plan->wh.data(), n, dh, head.av_dst.value().data(), 1,
              plan->s_dst.data());
-  MatMulInto(nodes, n, d, head.w2.value().data(), dh, plan->msg.data());
+  simd::DenseRowsMatMul(nodes, n, d, d, head.w2.value().data(), dh,
+                        plan->msg.data(), dh);
   // Eq. 23 node terms, hoisted out of the n^2 edge loop: the autograd
   // MatMul(GatherRows(nodes, idx), W) accumulates every gathered row from
   // zero, so its row (i, j) is bit-identical to row i of nodes * W.
-  MatMulInto(nodes, n, d, head.w4.value().data(), dh, plan->nw4.data());
-  MatMulInto(nodes, n, d, head.w5.value().data(), dh, plan->nw5.data());
+  simd::DenseRowsMatMul(nodes, n, d, d, head.w4.value().data(), dh,
+                        plan->nw4.data(), dh);
+  simd::DenseRowsMatMul(nodes, n, d, d, head.w5.value().data(), dh,
+                        plan->nw5.data(), dh);
 }
 
 inline void GatELayer::AttentionRow(int i, int p, const float* se,
@@ -339,11 +334,12 @@ void GatELayer::ForwardFast(const Matrix& nodes, const Matrix& edges,
       const float* nw4_row = nw4 + static_cast<size_t>(i) * dh;
       for (int j = 0; j < n; ++j) {
         float* out = out_i + static_cast<size_t>(j) * d;
-        EdgePair(ew3_i + static_cast<size_t>(j) * ew3_ld, nw4_row,
-                 nw5 + static_cast<size_t>(j) * dh, dh,
-                 sum != nullptr ? head_rows + static_cast<size_t>(j) * d
-                                : out + col0,
-                 sum != nullptr ? out : nullptr);
+        simd::GatEdgeRelu(ew3_i + static_cast<size_t>(j) * ew3_ld, nw4_row,
+                          nw5 + static_cast<size_t>(j) * dh, dh,
+                          sum != nullptr
+                              ? head_rows + static_cast<size_t>(j) * d
+                              : out + col0,
+                          sum != nullptr ? out : nullptr);
       }
     }
   }
@@ -446,9 +442,10 @@ void GatELayer::ForwardFastDelta(GatEDeltaItem* item,
         const size_t r = static_cast<size_t>(i) * n + j;
         if (!pair_rec[r]) continue;
         float* out = plan->edge_out.data() + r * d;
-        EdgePair(ew3_p + (static_cast<size_t>(i) * block + j) * ew3_width,
-                 nw4_row, plan->nw5.data() + static_cast<size_t>(j) * dh, dh,
-                 HeadSlot(out, col0, sum), sum != nullptr ? out : nullptr);
+        simd::GatEdgeRelu(
+            ew3_p + (static_cast<size_t>(i) * block + j) * ew3_width,
+            nw4_row, plan->nw5.data() + static_cast<size_t>(j) * dh, dh,
+            HeadSlot(out, col0, sum), sum != nullptr ? out : nullptr);
       }
     }
   }

@@ -85,7 +85,8 @@ class GatELayer : public nn::Module {
   /// encode.fast_layers. `capture`, when given, also receives the
   /// z*W3 and s_edge intermediates (the session warm-up). The n^2-sized
   /// edge products run as row-blocked simd::DenseRowsMatMul calls, all
-  /// heads per pass on hidden layers.
+  /// heads per pass on hidden layers, and so do each head's node
+  /// projections; the Eq. 23/25 edge epilogue is simd::GatEdgeRelu.
   void ForwardFast(const Matrix& nodes, const Matrix& edges,
                    const std::vector<bool>& adjacency, EncodePlan* plan,
                    GatECapture* capture = nullptr) const;
@@ -127,7 +128,8 @@ class GatELayer : public nn::Module {
   /// non-null, z*W3 into `ew3` (rows of P*dh, head p at column p*dh).
   void EdgeProducts(const float* z, int count, float* se, float* ew3,
                     const EncodePlan& plan) const;
-  /// Head p's six per-node products (Eq. 20/22/23) into the plan.
+  /// Head p's six per-node products (Eq. 20/22/23) into the plan: the
+  /// four dh-wide ones row-blocked, the two (1,)-wide ones per row.
   void ProjectNodes(const Head& head, const float* nodes, int n,
                     EncodePlan* plan) const;
   /// Attention row i (Eq. 20-22) of head p into plan->node_out at the

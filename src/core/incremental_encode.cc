@@ -6,12 +6,13 @@
 // rows and edge pairs whose inputs or softmax masks changed and reuses
 // everything else byte for byte.
 //
-// Why bitwise reuse is sound: every kernel on this path (MatMulInto /
-// AccumulateRowMatMul / DenseRowsMatMul / GatLogitsRow /
-// MaskedSoftmaxRowRaw) is deterministic and row-local — a row's bits do
-// not depend on which rows share its call or its register block — so a
-// cached output row is exactly what recomputation would produce whenever
-// its inputs are bitwise-unchanged.
+// Why bitwise reuse is sound: every kernel on this path
+// (DenseRowsMatMul for the node and edge products, GatEdgeRelu,
+// GatLogitsRow, MaskedSoftmaxRowRaw, AccumulateRowMatMul, and MatMulInto
+// for the (1,)-wide attention vectors) is deterministic and row-local —
+// a row's bits do not depend on which rows share its call or its
+// register block — so a cached output row is exactly what recomputation
+// would produce whenever its inputs are bitwise-unchanged.
 // The one cross-n subtlety is an attention row whose mask did not change
 // across an insertion: the new column is masked out, MaskedSoftmaxRowRaw
 // computes its max and denominator over unmasked entries only and writes

@@ -102,6 +102,24 @@ Tensor M2g4Rtp::BuildLocationInputs(
   for (size_t s = 0; s < aoi_route.size(); ++s) {
     aoi_pos[aoi_route[s]] = static_cast<int>(s);
   }
+  if (!GradMode::enabled()) {
+    // The op chain below, written as rows of one Matrix: every value is a
+    // copy, so the bytes are the chain's (decode_parity_test), without
+    // its 4n + 1 graph nodes.
+    const Matrix& x = loc_nodes.value();
+    const int d = x.cols();
+    const int pos_dim = config_.pos_enc_dim;
+    const int width = d + pos_dim + 1;
+    Matrix out = Matrix::Uninit(n, width);
+    for (int i = 0; i < n; ++i) {
+      const int aoi_node = loc_to_aoi[i];
+      float* row = out.data() + static_cast<size_t>(i) * width;
+      std::copy_n(x.data() + static_cast<size_t>(i) * d, d, row);
+      location_sort_lstm_->WritePosition(aoi_pos[aoi_node] + 1, row + d);
+      row[d + pos_dim] = aoi_times[aoi_node].item();
+    }
+    return Tensor::Constant(std::move(out));
+  }
   std::vector<Tensor> rows;
   rows.reserve(n);
   for (int i = 0; i < n; ++i) {

@@ -101,15 +101,18 @@ class M2g4Rtp : public nn::Module {
   Status Save(const std::string& path) const;
   Status Load(const std::string& path);
 
- private:
   /// Location-decoder inputs x_in (Eq. 34): node representation, plus the
   /// positional encoding of its AOI within `aoi_route` and the (scaled)
-  /// AOI arrival prediction, when multi-level.
+  /// AOI arrival prediction, when multi-level. With gradients enabled
+  /// this is the autograd op chain; with gradients disabled on the
+  /// calling thread the rows are written straight into one constant,
+  /// bitwise-identical (decode_parity_test).
   Tensor BuildLocationInputs(const Tensor& loc_nodes,
                              const std::vector<int>& loc_to_aoi,
                              const std::vector<int>& aoi_route,
                              const std::vector<Tensor>& aoi_times) const;
 
+ private:
   /// The request's encode scratch: a plan sized to the larger level when
   /// the fused no-grad encode applies (GAT-e encoder, gradients disabled
   /// on this thread), nullopt when Encode dispatches to EncodeLegacy.

@@ -12,6 +12,12 @@ SortLstm::SortLstm(int node_dim, int pos_dim, float pos_base,
                    int lstm_hidden, Rng* rng, int edge_dim)
     : pos_dim_(pos_dim), pos_base_(pos_base), edge_dim_(edge_dim) {
   M2G_CHECK_GT(edge_dim, 0);
+  pos_table_.resize(static_cast<size_t>(kPositionTableRows) * pos_dim);
+  for (int pos = 1; pos <= kPositionTableRows; ++pos) {
+    WritePositionalEncoding(
+        pos, pos_dim, pos_base,
+        pos_table_.data() + static_cast<size_t>(pos - 1) * pos_dim);
+  }
   lstm_ = std::make_unique<nn::LstmCell>(node_dim + pos_dim + edge_dim,
                                          lstm_hidden, rng);
   head_ = std::make_unique<nn::Linear>(lstm_hidden, 1, rng);
@@ -36,6 +42,15 @@ void SortLstm::WritePositionalEncoding(int pos, int dim, float base,
       out[2 * k + 1] = static_cast<float>(std::cos(pos / freq));
     }
   }
+}
+
+void SortLstm::WritePosition(int pos, float* out) const {
+  if (pos >= 1 && pos <= kPositionTableRows) {
+    std::copy_n(pos_table_.data() + static_cast<size_t>(pos - 1) * pos_dim_,
+                pos_dim_, out);
+    return;
+  }
+  WritePositionalEncoding(pos, pos_dim_, pos_base_, out);
 }
 
 std::vector<Tensor> SortLstm::Forward(const Tensor& nodes,
@@ -94,7 +109,7 @@ std::vector<Tensor> SortLstm::ForwardRaw(const Matrix& nodes,
     M2G_CHECK(node >= 0 && node < n);
     std::copy_n(nodes.data() + static_cast<size_t>(node) * node_dim,
                 node_dim, input.data());
-    WritePositionalEncoding(s + 1, pos_dim_, pos_base_, pos_slot);
+    WritePosition(s + 1, pos_slot);
     if (edges != nullptr) {
       const int prev = s == 0 ? node : route[s - 1];
       std::copy_n(edges->data() +

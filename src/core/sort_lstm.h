@@ -47,9 +47,19 @@ class SortLstm : public nn::Module {
   static void WritePositionalEncoding(int pos, int dim, float base,
                                       float* out);
 
+  /// Positions 1..kPositionTableRows have their encodings tabled at
+  /// construction; the no-grad paths copy those rows.
+  static constexpr int kPositionTableRows = 64;
+
+  /// WritePositionalEncoding(pos, pos_dim, pos_base, out) for this
+  /// head's (pos_dim, pos_base): a copy of the table row for pos in
+  /// [1, kPositionTableRows], computed directly beyond it. Same bytes
+  /// either way; the table saves the double pow/sin/cos per call.
+  void WritePosition(int pos, float* out) const;
+
  private:
   /// The no-grad ETA head: per step, one (1, node + pos + edge) input
-  /// row is filled in place (node row, positional encoding, edge row or
+  /// row is filled in place (node row, WritePosition, edge row or
   /// zeros), advanced by LstmCell::StepRawBatch and read out by the
   /// head's AffineRaw. No autograd nodes; `edges` may be null.
   std::vector<Tensor> ForwardRaw(const Matrix& nodes,
@@ -59,6 +69,8 @@ class SortLstm : public nn::Module {
   int pos_dim_;
   float pos_base_;
   int edge_dim_;
+  /// Row pos - 1 is the encoding of pos, kPositionTableRows rows.
+  std::vector<float> pos_table_;
   std::unique_ptr<nn::LstmCell> lstm_;
   std::unique_ptr<nn::Linear> head_;
 };

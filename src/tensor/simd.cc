@@ -35,6 +35,8 @@ struct KernelTable {
   void (*add)(float*, const float*, size_t);
   void (*relu)(float*, size_t);
   void (*tanh)(const float*, float*, int);
+  void (*gat_edge_relu)(const float*, const float*, const float*, int,
+                        float*, float*);
 };
 
 // --- Scalar tier: the pre-SIMD kernels, verbatim ---------------------------
@@ -100,6 +102,20 @@ void AddScalar(float* a, const float* b, size_t n) {
 
 void ReluScalar(float* a, size_t n) {
   for (size_t i = 0; i < n; ++i) a[i] = a[i] > 0.0f ? a[i] : 0.0f;
+}
+
+/// The fused GAT-e encode's Eq. 23/25 edge epilogue, in the autograd
+/// Add chain's association order, ReLU as the Relu op's ternary.
+void GatEdgeReluScalar(const float* ew3, const float* nw4_row,
+                       const float* nw5_row, int dh, float* dst,
+                       float* sum) {
+  for (int c = 0; c < dh; ++c) {
+    const float v = ew3[c] + (nw4_row[c] + nw5_row[c]);
+    dst[c] = v > 0.0f ? v : 0.0f;
+  }
+  if (sum != nullptr) {
+    for (int c = 0; c < dh; ++c) sum[c] += dst[c];
+  }
 }
 
 // --- tanh: fdlibm s_tanhf.c + s_expm1f.c, ported --------------------------
@@ -217,7 +233,7 @@ void TanhScalar(const float* x, float* y, int n) {
 
 constexpr KernelTable kScalarTable = {
     Tier::kScalar, &DenseRowScalar, &DenseRowsScalar, &GatLogitsScalar,
-    &AddScalar,    &ReluScalar,     &TanhScalar};
+    &AddScalar,    &ReluScalar,     &TanhScalar,      &GatEdgeReluScalar};
 
 #ifdef M2G_SIMD_X86
 
@@ -389,8 +405,9 @@ using V = Sse2Ops;
 }  // namespace sse2
 
 constexpr KernelTable kSse2Table = {
-    Tier::kSse2, &sse2::DenseRow, &RowBlocks<sse2::Rows>, &sse2::GatLogits,
-    &sse2::Add,  &sse2::Relu,     &sse2::Tanh};
+    Tier::kSse2,      &sse2::DenseRow, &RowBlocks<sse2::Rows>,
+    &sse2::GatLogits, &sse2::Add,      &sse2::Relu,
+    &sse2::Tanh,      &sse2::GatEdgeRelu};
 
 namespace avx2 {
 using V = Avx2Ops;
@@ -400,8 +417,9 @@ using V = Avx2Ops;
 }  // namespace avx2
 
 constexpr KernelTable kAvx2Table = {
-    Tier::kAvx2, &avx2::DenseRow, &RowBlocks<avx2::Rows>, &avx2::GatLogits,
-    &avx2::Add,  &avx2::Relu,     &avx2::Tanh};
+    Tier::kAvx2,      &avx2::DenseRow, &RowBlocks<avx2::Rows>,
+    &avx2::GatLogits, &avx2::Add,      &avx2::Relu,
+    &avx2::Tanh,      &avx2::GatEdgeRelu};
 
 #endif  // M2G_SIMD_X86
 
@@ -545,5 +563,10 @@ void AddInPlace(float* a, const float* b, size_t n) {
 void ReluInPlace(float* a, size_t n) { Active()->relu(a, n); }
 
 void TanhRow(const float* x, float* y, int n) { Active()->tanh(x, y, n); }
+
+void GatEdgeRelu(const float* ew3, const float* nw4_row, const float* nw5_row,
+                 int dh, float* dst, float* sum) {
+  Active()->gat_edge_relu(ew3, nw4_row, nw5_row, dh, dst, sum);
+}
 
 }  // namespace m2g::simd

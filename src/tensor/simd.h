@@ -9,10 +9,10 @@ namespace m2g::simd {
 // Runtime-dispatched SIMD kernel tier.
 //
 // Every hot path in the library (encode/decode fast paths, training
-// matmuls, the LSTM gate block, every tanh) bottoms out in the handful
-// of row kernels below. Each comes in three tiers — scalar, SSE2, AVX2 —
-// and the best tier the CPU supports is selected once at startup via
-// CPUID. Each kernel is written twice:
+// matmuls, the LSTM gate block, every tanh, the GAT-e edge epilogue)
+// bottoms out in the handful of row kernels below. Each comes in three
+// tiers — scalar, SSE2, AVX2 — and the best tier the CPU supports is
+// selected once at startup via CPUID. Each kernel is written twice:
 //   * the scalar tier (tensor/simd.cc) is the plain loop, and the
 //     bitwise oracle simd_parity_test and tools/tanh_sweep compare the
 //     other tiers against;
@@ -159,6 +159,17 @@ void ReluInPlace(float* a, size_t n);
 /// result is the same on every tier and every host, whatever its libm.
 /// ±0, denormals, ±inf and NaN payloads included. y may alias x.
 void TanhRow(const float* x, float* y, int n);
+
+/// The fused GAT-e encode's Eq. 23/25 edge epilogue for one edge pair and
+/// head: dst[c] = ReLU(ew3[c] + (nw4_row[c] + nw5_row[c])) for c < dh, in
+/// that association order (the autograd Add chain's), then, when `sum`
+/// is non-null, sum[c] += dst[c] (the last layer's head accumulation).
+/// The vector form's ReLU ands v with its v > 0 compare mask, as
+/// ReluInPlace does, so -0.0 and NaN become +0.0 like the scalar
+/// ternary. `ew3` may alias `dst` (each element is read before it is
+/// stored); `sum` must not overlap `dst`.
+void GatEdgeRelu(const float* ew3, const float* nw4_row, const float* nw5_row,
+                 int dh, float* dst, float* sum);
 
 }  // namespace m2g::simd
 

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
-#include <cmath>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "core/encoder.h"
 #include "core/gat_e.h"
@@ -280,6 +280,29 @@ TEST(SortLstmTest, PositionalEncodingProperties) {
     EXPECT_NEAR(p1.At(0, 2 * k) * p1.At(0, 2 * k) +
                     p1.At(0, 2 * k + 1) * p1.At(0, 2 * k + 1),
                 1.0f, 1e-5f);
+  }
+}
+
+TEST(SortLstmTest, PositionTableMatchesWritePositionalEncoding) {
+  // WritePosition copies table rows up to kPositionTableRows and computes
+  // beyond; both must be WritePositionalEncoding's bytes, for the model's
+  // (dim, base) and for odd widths.
+  struct DimBase {
+    int dim;
+    float base;
+  };
+  for (const DimBase& db : {DimBase{8, 10000.0f}, DimBase{5, 100.0f},
+                            DimBase{1, 10000.0f}}) {
+    Rng rng(12);
+    const SortLstm sort_lstm(6, db.dim, db.base, 4, &rng, /*edge_dim=*/3);
+    std::vector<float> got(db.dim), want(db.dim);
+    for (int pos = 0; pos <= SortLstm::kPositionTableRows + 8; ++pos) {
+      sort_lstm.WritePosition(pos, got.data());
+      SortLstm::WritePositionalEncoding(pos, db.dim, db.base, want.data());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), db.dim * sizeof(float)),
+                0)
+          << "pos " << pos << " dim " << db.dim;
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/model.h"
 #include "core/route_decoder.h"
 #include "core/sort_lstm.h"
 #include "tensor/grad_mode.h"
@@ -250,7 +251,8 @@ TEST(DecodeParityTest, EtaHeadNoGradMatchesOpChainBitwise) {
   for (const Dims& dims : {Dims{48, 8, 48, 48}, Dims{13, 5, 20, 11}}) {
     for (bool pooled : {true, false}) {
       PoolMode mode(pooled);
-      for (int n : {1, 2, 7, 50}) {
+      // n = 70 runs past SortLstm's positional-encoding table.
+      for (int n : {1, 2, 7, 50, 70}) {
         Rng rng(300 + n);
         SortLstm head(dims.node, dims.pos, 10000.0f, dims.hidden, &rng,
                       dims.edge);
@@ -278,6 +280,46 @@ TEST(DecodeParityTest, EtaHeadNoGradMatchesOpChainBitwise) {
           }
         }
       }
+    }
+  }
+}
+
+// The location decoder's input rows (Eq. 34), written raw under no-grad,
+// against the op chain that builds them in grad mode. More AOIs than the
+// positional-encoding table holds, so positions past it are computed.
+TEST(DecodeParityTest, LocationInputsNoGradMatchOpChainBitwise) {
+  ModelConfig config;
+  config.seed = 21;
+  const M2g4Rtp model(config);
+  for (bool pooled : {true, false}) {
+    PoolMode mode(pooled);
+    for (int num_aois : {1, 5, SortLstm::kPositionTableRows + 6}) {
+      Rng rng(500 + num_aois);
+      const int n = num_aois + 3;
+      const Tensor loc_nodes =
+          Tensor::Constant(Matrix::Random(n, config.hidden_dim, -1, 1, &rng));
+      std::vector<int> loc_to_aoi(n);
+      for (int i = 0; i < n; ++i) {
+        loc_to_aoi[i] = rng.UniformInt(0, num_aois - 1);
+      }
+      std::vector<int> aoi_route(num_aois);  // a permutation: 3 is coprime
+      for (int s = 0; s < num_aois; ++s) {
+        aoi_route[s] = (s * 3 + 2) % num_aois;
+      }
+      std::vector<Tensor> aoi_times;
+      for (int a = 0; a < num_aois; ++a) {
+        aoi_times.push_back(
+            Tensor::Constant(Matrix::Random(1, 1, -1, 1, &rng)));
+      }
+      ASSERT_TRUE(GradMode::enabled());
+      const Tensor chain =
+          model.BuildLocationInputs(loc_nodes, loc_to_aoi, aoi_route,
+                                    aoi_times);
+      NoGradGuard no_grad;
+      ArenaGuard arena;
+      const Tensor raw = model.BuildLocationInputs(loc_nodes, loc_to_aoi,
+                                                   aoi_route, aoi_times);
+      ExpectBitEqual(raw.value(), chain.value(), "location inputs");
     }
   }
 }

@@ -17,6 +17,7 @@
 
 #include "core/encode_plan.h"
 #include "core/encoder.h"
+#include "core/gat_e.h"
 #include "core/model.h"
 #include "graph/features.h"
 #include "obs/metrics.h"
@@ -124,6 +125,70 @@ TEST(EncodeParityTest, FastEncodeMatchesLegacyBitwise) {
                      "nodes with oversized plan");
       ExpectBitEqual(fast_big.edges.value(), fast.edges.value(),
                      "edges with oversized plan");
+    }
+  }
+}
+
+// Node rows holding exact zeros. The legacy encode's node products skip
+// a row's zero entries (AccumulateRowMatMul's zero-scan); the fused
+// layer's row-blocked node projections (simd::DenseRowsMatMul) add them
+// as +/-0.0 terms, which must change no bit. n is not a multiple of the
+// kernel's 4-row block, so the ragged block runs too.
+TEST(EncodeParityTest, ZeroNodeEntriesMatchLegacyBitwise) {
+  for (int n : {3, 6, 7, 13}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    Fixture f(n, 820 + n);
+    // Zeroed input_proj columns (weight and bias) put an exact +0.0 in
+    // those columns of every node row entering the first GAT-e layer:
+    // inside the 16-entry zero-scan prefix and beyond it.
+    for (const auto& [name, param] : f.encoder->NamedParameters()) {
+      if (name != "input_proj/weight" && name != "input_proj/bias") continue;
+      Tensor p = param;
+      Matrix& v = p.mutable_value();
+      for (int r = 0; r < v.rows(); ++r) {
+        for (int c : {0, 3, 20, 47}) v.At(r, c) = 0.0f;
+      }
+    }
+    const EncodedLevel ref = f.encoder->EncodeLegacy(f.level, f.global);
+    NoGradGuard no_grad;
+    EncodePlan plan(n, f.config.hidden_dim, f.config.num_heads);
+    const EncodedLevel fast = f.encoder->EncodeFast(f.level, f.global, &plan);
+    ExpectBitEqual(fast.nodes.value(), ref.nodes.value(), "nodes");
+    ExpectBitEqual(fast.edges.value(), ref.edges.value(), "edges");
+  }
+  // One layer at a time, with -0.0 entries too and whole zero rows, which
+  // an encode's input projection cannot produce.
+  for (bool is_last : {false, true}) {
+    for (int n : {3, 6, 7, 13}) {
+      SCOPED_TRACE(testing::Message() << "layer n=" << n << " last "
+                                      << is_last);
+      Fixture f(n, 840 + n);
+      const GatELayer layer(f.config, is_last, &f.rng);
+      const int d = f.config.hidden_dim;
+      Matrix nodes = Matrix::Random(n, d, -1, 1, &f.rng);
+      for (int i = 0; i < n; ++i) {
+        for (int c = i % 3; c < d; c += 5) {
+          nodes.At(i, c) = c % 2 == 0 ? 0.0f : -0.0f;
+        }
+      }
+      for (int c = 0; c < d; ++c) nodes.At(n / 2, c) = -0.0f;
+      const Matrix edges = Matrix::Random(n * n, d, -1, 1, &f.rng);
+      const GatEOutput ref =
+          layer.Forward(Tensor::Constant(nodes), Tensor::Constant(edges),
+                        f.level.adjacency);
+      NoGradGuard no_grad;
+      EncodePlan plan(n, d, f.config.num_heads);
+      layer.ForwardFast(nodes, edges, f.level.adjacency, &plan, nullptr);
+      const Matrix& want_nodes = ref.nodes.value();
+      const Matrix& want_edges = ref.edges.value();
+      EXPECT_EQ(std::memcmp(plan.node_out.data(), want_nodes.data(),
+                            want_nodes.size() * sizeof(float)),
+                0)
+          << "layer nodes";
+      EXPECT_EQ(std::memcmp(plan.edge_out.data(), want_edges.data(),
+                            want_edges.size() * sizeof(float)),
+                0)
+          << "layer edges";
     }
   }
 }

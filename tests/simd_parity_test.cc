@@ -440,6 +440,70 @@ TEST_F(SimdParityTest, ElementwiseKernelsAcrossTiers) {
   }
 }
 
+TEST_F(SimdParityTest, GatEdgeReluAcrossTiers) {
+  // The GAT-e edge epilogue on the vector widths and their tails (dh =
+  // 12 takes AVX2's 4-lane step, 13 one more scalar column), with and
+  // without the head sum, with ew3 aliasing dst, and with inputs holding
+  // +/-0.0, denormals, +/-inf and NaN (-0.0 sums and NaN lanes must come
+  // out +0.0, as the scalar ternary gives).
+  Rng rng(7011);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f,  -0.0f, FLT_MIN / 8.0f, -FLT_MIN / 8.0f,
+                            inf,   -inf,  nan,            -0.0f};
+  constexpr int kSpecials = sizeof(specials) / sizeof(specials[0]);
+  for (int dh : {1, 3, 4, 7, 12, 13, 48}) {
+    Matrix ew3 = Matrix::Random(1, dh, -1.0f, 1.0f, &rng);
+    Matrix nw4 = Matrix::Random(1, dh, -1.0f, 1.0f, &rng);
+    Matrix nw5 = Matrix::Random(1, dh, -1.0f, 1.0f, &rng);
+    Matrix sum0 = Matrix::Random(1, dh, -1.0f, 1.0f, &rng);
+    for (int c = 0; c < dh; ++c) {
+      if (c % 3 == 0) ew3[c] = specials[c % kSpecials];
+      if (c % 4 == 1) nw4[c] = specials[(c + 3) % kSpecials];
+      if (c % 5 == 2) nw5[c] = specials[(c + 5) % kSpecials];
+      if (c % 6 == 5) sum0[c] = specials[(c + 1) % kSpecials];
+    }
+    // An all -0.0 column: ReLU(-0.0 + (-0.0 + -0.0)) is +0.0.
+    ew3[dh - 1] = nw4[dh - 1] = nw5[dh - 1] = -0.0f;
+    for (bool with_sum : {false, true}) {
+      for (bool aliased : {false, true}) {
+        auto run = [&] {
+          std::vector<float> dst(dh, 7.0f);
+          std::vector<float> sum(sum0.data(), sum0.data() + dh);
+          const float* in = ew3.data();
+          if (aliased) {
+            std::copy(ew3.data(), ew3.data() + dh, dst.begin());
+            in = dst.data();
+          }
+          simd::GatEdgeRelu(in, nw4.data(), nw5.data(), dh, dst.data(),
+                            with_sum ? sum.data() : nullptr);
+          dst.insert(dst.end(), sum.begin(), sum.end());
+          return dst;
+        };
+        ExpectTierParity(run, with_sum ? (aliased ? "GatEdgeRelu sum alias"
+                                                  : "GatEdgeRelu sum")
+                                       : (aliased ? "GatEdgeRelu alias"
+                                                  : "GatEdgeRelu"));
+        // The scalar tier is the epilogue as the autograd Add chain and
+        // Relu op compute it.
+        simd::SetTier(simd::Tier::kScalar);
+        const std::vector<float> got = run();
+        std::vector<float> want(sum0.data(), sum0.data() + dh);
+        want.insert(want.begin(), dh, 0.0f);
+        for (int c = 0; c < dh; ++c) {
+          const float v = ew3[c] + (nw4[c] + nw5[c]);
+          want[c] = v > 0.0f ? v : 0.0f;
+          if (with_sum) want[dh + c] += want[c];
+        }
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "dh=" << dh << " sum=" << with_sum << " alias=" << aliased;
+      }
+    }
+  }
+}
+
 /// {input bits, glibc 2.36 tanhf output bits}.
 struct TanhGolden {
   uint32_t in;
