@@ -6,18 +6,6 @@
 
 namespace m2g::baselines {
 
-double OpenPathMeters(const geo::LatLng& start,
-                      const std::vector<geo::LatLng>& points,
-                      const std::vector<int>& order) {
-  double total = 0;
-  geo::LatLng pos = start;
-  for (int idx : order) {
-    total += geo::ApproxMeters(pos, points[idx]);
-    pos = points[idx];
-  }
-  return total;
-}
-
 std::vector<int> SolveOpenTsp(const geo::LatLng& start,
                               const std::vector<geo::LatLng>& points) {
   const int n = static_cast<int>(points.size());

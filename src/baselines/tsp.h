@@ -20,11 +20,6 @@ core::RtpPrediction OrToolsLikePredict(const synth::Sample& sample,
 std::vector<int> SolveOpenTsp(const geo::LatLng& start,
                               const std::vector<geo::LatLng>& points);
 
-/// Total metres of the open path start -> points[order[0]] -> ...
-double OpenPathMeters(const geo::LatLng& start,
-                      const std::vector<geo::LatLng>& points,
-                      const std::vector<int>& order);
-
 }  // namespace m2g::baselines
 
 #endif  // M2G_BASELINES_TSP_H_

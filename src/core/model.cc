@@ -124,11 +124,12 @@ Tensor M2g4Rtp::BuildLocationInputs(
   rows.reserve(n);
   for (int i = 0; i < n; ++i) {
     const int aoi_node = loc_to_aoi[i];
-    Tensor pos = Tensor::Constant(SortLstm::PositionalEncoding(
-        aoi_pos[aoi_node] + 1, config_.pos_enc_dim, config_.pos_enc_base));
+    Matrix pos = Matrix::Uninit(1, config_.pos_enc_dim);
+    location_sort_lstm_->WritePosition(aoi_pos[aoi_node] + 1, pos.data());
     // Eq. 34: x_in = [x~ || p_aoi || y_aoi].
-    rows.push_back(ConcatCols(ConcatCols(Row(loc_nodes, i), pos),
-                              aoi_times[aoi_node]));
+    rows.push_back(ConcatCols(
+        ConcatCols(Row(loc_nodes, i), Tensor::Constant(std::move(pos))),
+        aoi_times[aoi_node]));
   }
   return ConcatRows(rows);
 }

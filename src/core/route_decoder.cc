@@ -34,7 +34,7 @@ struct Expansion {
 
 /// Shared beam ordering: by score, then hypothesis index, then node id.
 /// The secondary keys make equal-score selections deterministic across
-/// platforms and across the fast/legacy paths (std::partial_sort is
+/// platforms and against the reference decoder (std::partial_sort is
 /// unstable, so score-only comparison could keep either candidate).
 bool ExpansionBefore(const Expansion& a, const Expansion& b) {
   if (a.logp != b.logp) return a.logp > b.logp;
@@ -61,18 +61,11 @@ AttentionRouteDecoder::AttentionRouteDecoder(int node_dim, int courier_dim,
 
 Tensor AttentionRouteDecoder::StepLogits(const Tensor& nodes,
                                          const Tensor& courier,
-                                         const nn::LstmState& state) const {
-  // q = W7 [h_{s-1} || u]; scores_j = v^T tanh(W6 x_j + q).
-  Tensor q = MatMul(ConcatCols(state.h, courier), w7_);  // (1, node_dim)
-  Tensor keys = AddRowBroadcast(MatMul(nodes, w6_), q);  // (n, node_dim)
-  return Transpose(MatMul(Tanh(keys), v_));              // (1, n)
-}
-
-Tensor AttentionRouteDecoder::StepLogitsHoisted(
-    const Tensor& nodes, const Tensor& courier, const nn::LstmState& state,
-    const Matrix& keys_value) const {
-  // Same statement order as StepLogits, so the graph nodes are created in
-  // the same sequence and the deterministic backward order is unchanged.
+                                         const nn::LstmState& state,
+                                         const Matrix& keys_value) const {
+  // q = W7 [h_{s-1} || u]; scores_j = v^T tanh(W6 x_j + q). The
+  // per-step-recompute reference builds the same nodes in the same
+  // order, so the deterministic backward order is the same too.
   Tensor q = MatMul(ConcatCols(state.h, courier), w7_);
   Tensor keys = AddRowBroadcast(MatMulWithValue(nodes, w6_, keys_value), q);
   return Transpose(MatMul(Tanh(keys), v_));
@@ -110,20 +103,6 @@ void AttentionRouteDecoder::QueryRow(const KeyCache& cache,
       q_out);
 }
 
-Matrix AttentionRouteDecoder::StepScores(const KeyCache& cache,
-                                         const Matrix& h) const {
-  M2G_CHECK_EQ(h.rows(), 1);
-  M2G_CHECK_EQ(h.cols(), lstm_hidden_);
-  Matrix q = Matrix::Uninit(1, node_dim_);
-  QueryRow(cache, h.data(), q.data());
-  const int n = cache.keys.rows();
-  Matrix scores = Matrix::Uninit(1, n);
-  const std::vector<bool> all(n, true);
-  PointerScoresMasked(cache.keys, q.data(), v_.value().data(), all,
-                      scores.data());
-  return scores;
-}
-
 Tensor AttentionRouteDecoder::TeacherForcedLoss(
     const Tensor& nodes, const Tensor& courier,
     const std::vector<int>& label_route) const {
@@ -140,27 +119,7 @@ Tensor AttentionRouteDecoder::TeacherForcedLoss(
   Tensor total = Tensor::Scalar(0.0f);
   for (int s = 0; s < n; ++s) {
     state = lstm_->Forward(input, state);
-    Tensor logits = StepLogitsHoisted(nodes, courier, state, keys_value);
-    total = Add(total,
-                MaskedCrossEntropy(logits, label_route[s], unvisited));
-    unvisited[label_route[s]] = false;
-    input = Row(nodes, label_route[s]);
-  }
-  return Scale(total, 1.0f / static_cast<float>(n));
-}
-
-Tensor AttentionRouteDecoder::TeacherForcedLossLegacy(
-    const Tensor& nodes, const Tensor& courier,
-    const std::vector<int>& label_route) const {
-  const int n = nodes.rows();
-  M2G_CHECK_EQ(static_cast<int>(label_route.size()), n);
-  nn::LstmState state = lstm_->InitialState();
-  Tensor input = start_token_;
-  std::vector<bool> unvisited(n, true);
-  Tensor total = Tensor::Scalar(0.0f);
-  for (int s = 0; s < n; ++s) {
-    state = lstm_->Forward(input, state);
-    Tensor logits = StepLogits(nodes, courier, state);
+    Tensor logits = StepLogits(nodes, courier, state, keys_value);
     total = Add(total,
                 MaskedCrossEntropy(logits, label_route[s], unvisited));
     unvisited[label_route[s]] = false;
@@ -195,8 +154,8 @@ std::vector<int> AttentionRouteDecoder::DecodeGreedy(
     std::swap(h, h_next);
     std::swap(c, c_next);
     QueryRow(cache, h.data(), q.data());
-    // Fused score + masked argmax, ArgmaxMaskedRow semantics: strict >,
-    // first unmasked maximum wins ties.
+    // Fused score + masked argmax: strict >, so the first unmasked
+    // maximum wins ties.
     int pick = -1;
     float best = -std::numeric_limits<float>::infinity();
     for (int i = 0; i < n; ++i) {
@@ -244,7 +203,7 @@ std::vector<int> AttentionRouteDecoder::DecodeBeam(const Tensor& nodes,
     const int batch = static_cast<int>(inputs.size());
     steps += static_cast<uint64_t>(batch);
     // One batched gate kernel advances every live hypothesis; one fused
-    // scoring pass per row replaces its StepLogits recompute.
+    // scoring pass per row replaces a per-hypothesis StepLogits.
     Matrix h_next = Matrix::Uninit(batch, H);
     Matrix c_next = Matrix::Uninit(batch, H);
     lstm_->StepRawBatch(inputs.data(), batch, h, c, &h_next, &c_next);
@@ -308,93 +267,6 @@ std::vector<int> AttentionRouteDecoder::DecodeBeam(const Tensor& nodes,
   }
   FastStepCounter().Increment(steps);
   return routes.front();
-}
-
-std::vector<int> AttentionRouteDecoder::DecodeBeamLegacy(
-    const Tensor& nodes, const Tensor& courier, int beam_width) const {
-  M2G_CHECK_GE(beam_width, 1);
-  if (beam_width == 1) return DecodeGreedyLegacy(nodes, courier);
-  const int n = nodes.rows();
-
-  struct Hypothesis {
-    nn::LstmState state;
-    Tensor input;
-    std::vector<bool> unvisited;
-    std::vector<int> route;
-    double logp = 0;
-  };
-  Hypothesis seed;
-  seed.state = lstm_->InitialState();
-  seed.input = start_token_;
-  seed.unvisited.assign(n, true);
-  std::vector<Hypothesis> beam = {std::move(seed)};
-
-  for (int s = 0; s < n; ++s) {
-    std::vector<Expansion> expansions;
-    std::vector<nn::LstmState> advanced(beam.size());
-    for (size_t h = 0; h < beam.size(); ++h) {
-      advanced[h] = lstm_->Forward(beam[h].input, beam[h].state);
-      Tensor logits = StepLogits(nodes, courier, advanced[h]);
-      // Masked log-softmax over the hypothesis's unvisited set.
-      const Matrix& lv = logits.value();
-      double max_v = -1e30;
-      for (int j = 0; j < n; ++j) {
-        if (beam[h].unvisited[j]) {
-          max_v = std::max(max_v, static_cast<double>(lv[j]));
-        }
-      }
-      double denom = 0;
-      for (int j = 0; j < n; ++j) {
-        if (beam[h].unvisited[j]) denom += std::exp(lv[j] - max_v);
-      }
-      const double log_z = max_v + std::log(denom);
-      for (int j = 0; j < n; ++j) {
-        if (!beam[h].unvisited[j]) continue;
-        expansions.push_back(
-            {static_cast<int>(h), j, beam[h].logp + lv[j] - log_z});
-      }
-    }
-    const size_t keep =
-        std::min<size_t>(static_cast<size_t>(beam_width),
-                         expansions.size());
-    std::partial_sort(expansions.begin(), expansions.begin() + keep,
-                      expansions.end(), ExpansionBefore);
-    std::vector<Hypothesis> next;
-    next.reserve(keep);
-    for (size_t e = 0; e < keep; ++e) {
-      const Expansion& ex = expansions[e];
-      Hypothesis hyp;
-      hyp.state = advanced[ex.hyp];
-      hyp.input = Row(nodes, ex.node);
-      hyp.unvisited = beam[ex.hyp].unvisited;
-      hyp.unvisited[ex.node] = false;
-      hyp.route = beam[ex.hyp].route;
-      hyp.route.push_back(ex.node);
-      hyp.logp = ex.logp;
-      next.push_back(std::move(hyp));
-    }
-    beam = std::move(next);
-  }
-  return beam.front().route;
-}
-
-std::vector<int> AttentionRouteDecoder::DecodeGreedyLegacy(
-    const Tensor& nodes, const Tensor& courier) const {
-  const int n = nodes.rows();
-  nn::LstmState state = lstm_->InitialState();
-  Tensor input = start_token_;
-  std::vector<bool> unvisited(n, true);
-  std::vector<int> route;
-  route.reserve(n);
-  for (int s = 0; s < n; ++s) {
-    state = lstm_->Forward(input, state);
-    Tensor logits = StepLogits(nodes, courier, state);
-    const int pick = ArgmaxMaskedRow(logits.value(), unvisited);
-    route.push_back(pick);
-    unvisited[pick] = false;
-    input = Row(nodes, pick);
-  }
-  return route;
 }
 
 }  // namespace m2g::core

@@ -23,43 +23,23 @@ namespace m2g::core {
 /// once per request into a KeyCache, live beam hypotheses advance through
 /// one batched LSTM gate kernel per step, and scores come from a fused
 /// tanh(keys + q)·v kernel with no (n, d) temporaries. Routes are
-/// bitwise-identical to the per-step-recompute path, which is kept as
-/// Decode*Legacy for the parity suite (see docs/architecture.md,
-/// "Decode fast path").
+/// bitwise-identical to the per-step-recompute decoders, which live in
+/// the test-only oracle library (tests/oracles/route_decoder.h) and read
+/// the weights through the one friend declaration below (see
+/// docs/architecture.md, "Decode fast path").
 class AttentionRouteDecoder : public nn::Module {
  public:
   AttentionRouteDecoder(int node_dim, int courier_dim, int lstm_hidden,
                         Rng* rng);
 
-  /// Request-scoped decode cache: the step-invariant half of the pointer
-  /// score. `keys` and `courier` draw from the active arena and `nodes`
-  /// is borrowed, so a cache must not outlive the request's ArenaGuard
-  /// scope or the node tensor it was built from.
-  struct KeyCache {
-    Matrix keys;                    // (n, node_dim) = nodes * W6
-    Matrix courier;                 // (1, courier_dim) copy of u
-    const Matrix* nodes = nullptr;  // borrowed node embeddings
-  };
-
-  KeyCache BuildKeyCache(const Tensor& nodes, const Tensor& courier) const;
-
-  /// (1, n) pointer scores over the cached keys for LSTM output row `h` —
-  /// StepLogits(...).value() bit for bit, without the per-step key
-  /// recompute (decode_parity_test pins this).
-  Matrix StepScores(const KeyCache& cache, const Matrix& h) const;
-
   /// Training pass: teacher-forced decoding along `label_route`; returns
   /// the mean per-step masked cross-entropy (Eq. 37/38 inner sum). The
   /// step-invariant `MatMul(nodes, w6_)` is hoisted out of the step loop
   /// as a shared forward value (MatMulWithValue); the per-step graph is
-  /// unchanged, so values and gradients stay bitwise-identical to
-  /// TeacherForcedLossLegacy while the forward drops n-1 key projections.
+  /// unchanged, so values and gradients stay bitwise-identical to the
+  /// per-step-recompute loss while the forward drops n-1 key projections.
   Tensor TeacherForcedLoss(const Tensor& nodes, const Tensor& courier,
                            const std::vector<int>& label_route) const;
-
-  /// Reference implementation (per-step recompute) for the parity suite.
-  Tensor TeacherForcedLossLegacy(const Tensor& nodes, const Tensor& courier,
-                                 const std::vector<int>& label_route) const;
 
   /// Inference pass: greedy argmax decoding (Eq. 31) on the fast path.
   /// Returns a permutation of {0..n-1}.
@@ -75,26 +55,29 @@ class AttentionRouteDecoder : public nn::Module {
   std::vector<int> DecodeBeam(const Tensor& nodes, const Tensor& courier,
                               int beam_width) const;
 
-  /// Legacy per-step-recompute decoders: reference implementations for
-  /// decode_parity_test.
-  std::vector<int> DecodeGreedyLegacy(const Tensor& nodes,
-                                      const Tensor& courier) const;
-  std::vector<int> DecodeBeamLegacy(const Tensor& nodes,
-                                    const Tensor& courier,
-                                    int beam_width) const;
-
-  /// (1, n) pointer logits for the current state, recomputing the key
-  /// projection (the fast path reads StepScores against a KeyCache
-  /// instead). Public as the parity-suite reference.
-  Tensor StepLogits(const Tensor& nodes, const Tensor& courier,
-                    const nn::LstmState& state) const;
-
  private:
-  /// StepLogits with the key projection value supplied by the caller;
-  /// builds the same per-step graph via MatMulWithValue.
-  Tensor StepLogitsHoisted(const Tensor& nodes, const Tensor& courier,
-                           const nn::LstmState& state,
-                           const Matrix& keys_value) const;
+  /// The parity suite's reference decoders.
+  friend class RouteDecoderOracle;
+
+  /// Request-scoped decode cache: the step-invariant half of the pointer
+  /// score. `keys` and `courier` draw from the active arena and `nodes`
+  /// is borrowed, so a cache must not outlive the request's ArenaGuard
+  /// scope or the node tensor it was built from.
+  struct KeyCache {
+    Matrix keys;                    // (n, node_dim) = nodes * W6
+    Matrix courier;                 // (1, courier_dim) copy of u
+    const Matrix* nodes = nullptr;  // borrowed node embeddings
+  };
+
+  KeyCache BuildKeyCache(const Tensor& nodes, const Tensor& courier) const;
+
+  /// (1, n) pointer logits for the current state (Eq. 29):
+  /// v^T tanh(keys + W7 [h || u]), with the key projection's value
+  /// `keys_value` = nodes * W6 supplied by the caller and rebuilt into
+  /// the step's graph via MatMulWithValue.
+  Tensor StepLogits(const Tensor& nodes, const Tensor& courier,
+                    const nn::LstmState& state,
+                    const Matrix& keys_value) const;
 
   /// q = [h_row || u] * W7 written into q_out (node_dim floats).
   void QueryRow(const KeyCache& cache, const float* h_row,

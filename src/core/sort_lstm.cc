@@ -25,12 +25,6 @@ SortLstm::SortLstm(int node_dim, int pos_dim, float pos_base,
   AddChild("head", head_.get());
 }
 
-Matrix SortLstm::PositionalEncoding(int pos, int dim, float base) {
-  Matrix p(1, dim);
-  WritePositionalEncoding(pos, dim, base, p.data());
-  return p;
-}
-
 void SortLstm::WritePositionalEncoding(int pos, int dim, float base,
                                        float* out) {
   for (int k = 0; 2 * k < dim; ++k) {
@@ -65,9 +59,10 @@ std::vector<Tensor> SortLstm::Forward(const Tensor& nodes,
   std::vector<Tensor> out(n);
   nn::LstmState state = lstm_->InitialState();
   for (int s = 0; s < n; ++s) {
-    Tensor pos = Tensor::Constant(
-        PositionalEncoding(s + 1, pos_dim_, pos_base_));
-    Tensor input = ConcatCols(Row(nodes, route[s]), pos);  // Eq. 33
+    Matrix pos = Matrix::Uninit(1, pos_dim_);
+    WritePosition(s + 1, pos.data());
+    Tensor input = ConcatCols(Row(nodes, route[s]),
+                              Tensor::Constant(std::move(pos)));  // Eq. 33
     Tensor leg;
     if (edges.defined()) {
       // Edge traversed into this node; the self-edge for step 0.

@@ -40,10 +40,8 @@ class SortLstm : public nn::Module {
                               const std::vector<int>& route,
                               const Tensor& edges = Tensor()) const;
 
-  /// Transformer-style sinusoidal encoding of `pos` (1-based in the
-  /// paper; we pass the 0-based step index).
-  static Matrix PositionalEncoding(int pos, int dim, float base);
-  /// PositionalEncoding's `dim` values written into `out`.
+  /// Transformer-style sinusoidal encoding of route position `pos`
+  /// (1-based, as in the paper): its `dim` values written into `out`.
   static void WritePositionalEncoding(int pos, int dim, float base,
                                       float* out);
 

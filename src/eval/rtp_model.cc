@@ -109,6 +109,9 @@ class M2g4RtpModel : public RtpModel {
     tc.epochs = scale_.epochs;
     tc.max_samples_per_epoch = scale_.max_samples_per_epoch;
     tc.threads = scale_.threads;
+    // Each bench seed draws its own sample order and guidance coins, not
+    // only its own weight init (the deep baselines salt theirs too).
+    tc.shuffle_seed = scale_.seed ^ 0x4d32;
     core::Trainer trainer(model_.get(), tc);
     trainer.Fit(train, val);
   }

@@ -12,17 +12,6 @@ constexpr double kDegToRad = M_PI / 180.0;
 
 }  // namespace
 
-double HaversineMeters(const LatLng& a, const LatLng& b) {
-  const double lat1 = a.lat * kDegToRad;
-  const double lat2 = b.lat * kDegToRad;
-  const double dlat = (b.lat - a.lat) * kDegToRad;
-  const double dlng = (b.lng - a.lng) * kDegToRad;
-  const double s = std::sin(dlat / 2) * std::sin(dlat / 2) +
-                   std::cos(lat1) * std::cos(lat2) * std::sin(dlng / 2) *
-                       std::sin(dlng / 2);
-  return 2.0 * kEarthRadiusM * std::asin(std::min(1.0, std::sqrt(s)));
-}
-
 double ApproxMeters(const LatLng& a, const LatLng& b) {
   const double mean_lat = 0.5 * (a.lat + b.lat) * kDegToRad;
   const double dx = (b.lng - a.lng) * kDegToRad * std::cos(mean_lat);

@@ -12,11 +12,9 @@ struct LatLng {
   double lng = 0.0;
 };
 
-/// Great-circle distance in meters (haversine).
-double HaversineMeters(const LatLng& a, const LatLng& b);
-
 /// Fast equirectangular approximation in meters; accurate to <0.1% at
-/// city scale and ~3x cheaper. Used in feature extraction hot paths.
+/// city scale (geo_test checks it against the haversine great-circle
+/// distance) and ~3x cheaper. Used in feature extraction hot paths.
 double ApproxMeters(const LatLng& a, const LatLng& b);
 
 /// Arithmetic centroid (fine for city-scale clusters).

@@ -169,20 +169,6 @@ Matrix MatMulATB(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix MatMulABT(const Matrix& a, const Matrix& b) {
-  M2G_CHECK_EQ(a.cols(), b.cols());
-  // Materialize b^T (one sequential O(k*m) copy from the pool) and run
-  // the canonical kernel: this IS the reference composition, so parity
-  // is structural. The old fused variant saved the transpose but read
-  // b(j, p) with stride k inside the innermost loop — a measured ~2x
-  // regression against transpose-then-multiply with the register-blocked
-  // dense row kernel.
-  Matrix bt = TransposeRaw(b);
-  Matrix out(a.rows(), bt.cols());
-  MatMulAccumulate(a, bt, &out);
-  return out;
-}
-
 Matrix AffineRaw(const Matrix& x, const Matrix& w, const Matrix* bias,
                  Activation act) {
   M2G_CHECK_EQ(x.cols(), w.rows());

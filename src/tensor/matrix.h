@@ -120,10 +120,12 @@ Matrix MatMulRaw(const Matrix& a, const Matrix& b);
 Matrix TransposeRaw(const Matrix& a);
 
 // ---------------------------------------------------------------------------
-// Transpose-free fused kernels. Each reproduces the exact accumulation
-// order of the op composition it replaces (same i-k-j loops, same
-// skip-if-zero), so results are bitwise-identical to the unfused path —
-// only the transpose copies and intermediate buffers disappear.
+// Fused kernels. Each reproduces the exact accumulation order of the op
+// composition it replaces (same i-k-j loops, same skip-if-zero), so
+// results are bitwise-identical to the unfused path; only intermediate
+// buffers disappear. g * w^T has no kernel of its own: the backward
+// passes write it as MatMulRaw(g, TransposeRaw(w)), taking w^T from the
+// per-Backward transpose cache (internal::TransposedValue).
 // ---------------------------------------------------------------------------
 
 /// out = a^T * b without materializing a^T. Shapes (k,n) x (k,m) -> (n,m).
@@ -132,13 +134,6 @@ Matrix TransposeRaw(const Matrix& a);
 /// canonical row kernel, so the accumulation order is the reference
 /// composition's by construction.
 Matrix MatMulATB(const Matrix& a, const Matrix& b);
-
-/// out = a * b^T. Shapes (n,k) x (m,k) -> (n,m). Bitwise-identical to
-/// MatMulRaw(a, TransposeRaw(b)) — it literally materializes b^T into
-/// pooled scratch first: one sequential transpose copy beats the
-/// column-strided inner loop of the old "transpose-free" variant by ~2x
-/// now that the dense row kernel is register-blocked and vectorized.
-Matrix MatMulABT(const Matrix& a, const Matrix& b);
 
 /// out = act(x * w + bias) with bias a (1, m) row broadcast over rows
 /// (`bias` may be null for pure projections). Bitwise-identical to the

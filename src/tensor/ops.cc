@@ -8,17 +8,10 @@
 #include "tensor/simd.h"
 
 namespace m2g {
-namespace {
+namespace internal {
 
-using internal::NewNode;
-using internal::TensorNode;
-using NodePtr = std::shared_ptr<TensorNode>;
-
-/// Finalizes an op node: wires parents, requires_grad, backward closure.
-/// Under NoGradGuard (GradMode disabled on this thread) the wiring is
-/// skipped entirely — the op returns a plain constant holding the already
-/// computed forward value, so inference is pure matrix math.
-Tensor MakeOp(NodePtr out, std::vector<NodePtr> parents,
+Tensor MakeOp(std::shared_ptr<TensorNode> out,
+              std::vector<std::shared_ptr<TensorNode>> parents,
               std::function<void(TensorNode*)> backward) {
   if (!GradMode::enabled()) return Tensor::FromNode(std::move(out));
   bool any = false;
@@ -28,6 +21,15 @@ Tensor MakeOp(NodePtr out, std::vector<NodePtr> parents,
   if (any) out->backward_fn = std::move(backward);
   return Tensor::FromNode(std::move(out));
 }
+
+}  // namespace internal
+
+namespace {
+
+using internal::MakeOp;
+using internal::NewNode;
+using internal::TensorNode;
+using NodePtr = std::shared_ptr<TensorNode>;
 
 /// Elementwise unary op helper: forward maps x->f(x); dfn(x, y) is f'(x)
 /// possibly expressed via the output y.
@@ -47,9 +49,9 @@ Tensor UnaryOp(const Tensor& a, F&& f, DF&& dfn) {
   });
 }
 
-/// g * b^T for a backward pass: MatMulABT's body (transpose, then the
-/// canonical kernel), with b's transpose taken from the per-Backward
-/// cache when b is a parameter leaf.
+/// g * b^T for a backward pass: MatMulRaw(g, TransposeRaw(b)), with b's
+/// transpose taken from the per-Backward cache when b is a parameter
+/// leaf.
 Matrix MatMulGradABT(const Matrix& g, const TensorNode* b) {
   Matrix scratch;
   return MatMulRaw(g, internal::TransposedValue(b, &scratch));
@@ -120,7 +122,7 @@ void GatAttentionBackward(const NodePtr& sdn, const NodePtr& sen,
     const float* a = alpha.data() + static_cast<size_t>(i) * n;
     if (scores) {
       // d alpha = g * messages^T, each entry a dot product over c in
-      // ascending order: MatMulABT's row kernel, zero-scan included
+      // ascending order: MatMulRaw's row kernel, zero-scan included
       // (dense when n >= 4 and the first min(dh, 16) entries of g are
       // nonzero, otherwise skip-if-zero).
       bool dense = n >= 4;
@@ -482,19 +484,6 @@ Tensor AddScalar(const Tensor& a, float s) {
 
 Tensor Neg(const Tensor& a) { return Scale(a, -1.0f); }
 
-Tensor AddScalarTensor(const Tensor& a, const Tensor& s) {
-  M2G_CHECK_EQ(s.value().size(), 1u);
-  Matrix out = a.value();
-  const float sv = s.value()[0];
-  for (size_t i = 0; i < out.size(); ++i) out[i] += sv;
-  NodePtr node = NewNode(std::move(out));
-  NodePtr an = a.node(), sn = s.node();
-  return MakeOp(node, {an, sn}, [an, sn](TensorNode* self) {
-    if (an->requires_grad) an->EnsureGrad().AddInPlace(self->grad);
-    if (sn->requires_grad) sn->EnsureGrad()[0] += self->grad.Sum();
-  });
-}
-
 Tensor BroadcastRows(const Tensor& row, int n) {
   M2G_CHECK_EQ(row.rows(), 1);
   return GatherRows(row, std::vector<int>(static_cast<size_t>(n), 0));
@@ -555,17 +544,6 @@ Tensor Relu(const Tensor& a) {
       g[i] += gy[i] * (x[i] > 0 ? 1.0f : 0.0f);
     }
   });
-}
-
-Tensor LeakyRelu(const Tensor& a, float negative_slope) {
-  return UnaryOp(
-      a,
-      [negative_slope](float x) {
-        return x > 0 ? x : negative_slope * x;
-      },
-      [negative_slope](float x, float) {
-        return x > 0 ? 1.0f : negative_slope;
-      });
 }
 
 Tensor ConcatCols(const Tensor& a, const Tensor& b) {
@@ -733,26 +711,8 @@ Tensor MaskedSoftmaxRow(const Tensor& logits, const std::vector<bool>& mask) {
   const Matrix& lv = logits.value();
   M2G_CHECK_EQ(lv.rows(), 1);
   M2G_CHECK_EQ(static_cast<size_t>(lv.cols()), mask.size());
-  float max_v = -std::numeric_limits<float>::infinity();
-  bool any = false;
-  for (int i = 0; i < lv.cols(); ++i) {
-    if (mask[i]) {
-      any = true;
-      max_v = std::max(max_v, lv[i]);
-    }
-  }
-  M2G_CHECK_MSG(any, "MaskedSoftmaxRow: all positions masked");
   Matrix out = Matrix::Uninit(1, lv.cols());
-  double denom = 0;
-  for (int i = 0; i < lv.cols(); ++i) {
-    if (mask[i]) {
-      out[i] = std::exp(lv[i] - max_v);
-      denom += out[i];
-    }
-  }
-  for (int i = 0; i < lv.cols(); ++i) {
-    out[i] = mask[i] ? static_cast<float>(out[i] / denom) : 0.0f;
-  }
+  MaskedSoftmaxRowRaw(lv.data(), mask, 0, lv.cols(), out.data());
   NodePtr node = NewNode(std::move(out));
   NodePtr ln = logits.node();
   return MakeOp(node, {ln}, [ln, mask](TensorNode* self) {
@@ -810,21 +770,6 @@ Tensor MaskedCrossEntropy(const Tensor& logits, int target,
 Tensor L1Loss(const Tensor& pred, float target) {
   M2G_CHECK_EQ(pred.value().size(), 1);
   return Abs(AddScalar(pred, -target));
-}
-
-int ArgmaxMaskedRow(const Matrix& row, const std::vector<bool>& mask) {
-  M2G_CHECK_EQ(row.rows(), 1);
-  M2G_CHECK_EQ(static_cast<size_t>(row.cols()), mask.size());
-  int best = -1;
-  float best_v = -std::numeric_limits<float>::infinity();
-  for (int i = 0; i < row.cols(); ++i) {
-    if (mask[i] && row[i] > best_v) {
-      best_v = row[i];
-      best = i;
-    }
-  }
-  M2G_CHECK_MSG(best >= 0, "ArgmaxMaskedRow: all positions masked");
-  return best;
 }
 
 }  // namespace m2g

@@ -59,7 +59,8 @@ Tensor GatherRowsMatMul(const Tensor& a, const std::vector<int>& indices,
 ///            * messages
 /// which is the per-row chain Transpose -> SliceRows -> Add ->
 /// AddScalarTensor(Row) -> LeakyRelu -> MaskedSoftmaxRow -> MatMul,
-/// stacked by ConcatRows, with bit-identical values and gradients:
+/// stacked by ConcatRows (gradcheck_test builds it from the test-only
+/// ops in tests/oracles/ops.h), with bit-identical values and gradients:
 ///   * the parents are listed in the order the chain's backward DFS first
 ///     reached them (s_dst, s_edge, s_src, messages), so every node
 ///     outside the block keeps its topological slot;
@@ -94,10 +95,6 @@ Tensor AddScalar(const Tensor& a, float s);
 /// -a.
 Tensor Neg(const Tensor& a);
 
-/// a + s where s is a (1,1) tensor broadcast to every entry of a
-/// (differentiable in both arguments).
-Tensor AddScalarTensor(const Tensor& a, const Tensor& s);
-
 /// Replicates a (1,d) row n times -> (n,d).
 Tensor BroadcastRows(const Tensor& row, int n);
 
@@ -109,7 +106,6 @@ Tensor Abs(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Relu(const Tensor& a);
-Tensor LeakyRelu(const Tensor& a, float negative_slope = 0.2f);
 
 /// Horizontal concat: (n,d1) || (n,d2) -> (n, d1+d2).
 Tensor ConcatCols(const Tensor& a, const Tensor& b);
@@ -140,7 +136,7 @@ Tensor Transpose(const Tensor& a);
 
 /// Softmax over a row vector (1,n) restricted to positions where
 /// mask[i] == true; masked-out positions get probability 0. At least one
-/// position must be unmasked.
+/// position must be unmasked. The forward is MaskedSoftmaxRowRaw.
 Tensor MaskedSoftmaxRow(const Tensor& logits, const std::vector<bool>& mask);
 
 /// Numerically stable -log softmax(logits)[target] with the softmax taken
@@ -150,13 +146,6 @@ Tensor MaskedCrossEntropy(const Tensor& logits, int target,
 
 /// |pred - target| for scalar pred -> (1,1). Subgradient 0 at equality.
 Tensor L1Loss(const Tensor& pred, float target);
-
-// ---------------------------------------------------------------------------
-// Non-differentiable helpers.
-// ---------------------------------------------------------------------------
-
-/// Argmax over a row vector restricted to unmasked positions.
-int ArgmaxMaskedRow(const Matrix& row, const std::vector<bool>& mask);
 
 }  // namespace m2g
 

@@ -110,6 +110,14 @@ namespace internal {
 /// Allocates a node holding `value`. Op implementations use this.
 std::shared_ptr<TensorNode> NewNode(Matrix value);
 
+/// Finalizes an op node: wires parents, requires_grad and the backward
+/// closure. Under NoGradGuard (GradMode disabled on this thread) the
+/// wiring is skipped entirely: the op returns a plain constant holding
+/// the already computed forward value, so inference is pure matrix math.
+Tensor MakeOp(std::shared_ptr<TensorNode> out,
+              std::vector<std::shared_ptr<TensorNode>> parents,
+              std::function<void(TensorNode*)> backward);
+
 /// TransposeRaw(node->value) for backward kernels. Inside
 /// Tensor::Backward() a parameter leaf's transpose is computed once per
 /// call and cached (a weight used at every LSTM step is transposed once

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "tensor/ops.h"
+#include "tests/oracles/ops.h"
 
 namespace m2g {
 namespace {

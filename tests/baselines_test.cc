@@ -10,6 +10,7 @@
 #include "baselines/osquare.h"
 #include "baselines/tsp.h"
 #include "metrics/route_metrics.h"
+#include "tests/oracles/distance.h"
 
 namespace m2g::baselines {
 namespace {

@@ -266,8 +266,9 @@ TEST(RouteDecoderTest, BeamSequenceLogProbAtLeastGreedy) {
 }
 
 TEST(SortLstmTest, PositionalEncodingProperties) {
-  Matrix p1 = SortLstm::PositionalEncoding(1, 8, 10000.0f);
-  Matrix p2 = SortLstm::PositionalEncoding(2, 8, 10000.0f);
+  Matrix p1(1, 8), p2(1, 8);
+  SortLstm::WritePositionalEncoding(1, 8, 10000.0f, p1.data());
+  SortLstm::WritePositionalEncoding(2, 8, 10000.0f, p2.data());
   EXPECT_EQ(p1.cols(), 8);
   // Values bounded by 1.
   EXPECT_LE(p1.MaxAbs(), 1.0f);

@@ -6,6 +6,7 @@
 #include "core/model.h"
 #include "metrics/route_metrics.h"
 #include "tensor/ops.h"
+#include "tests/oracles/ops.h"
 
 namespace m2g {
 namespace {

@@ -24,6 +24,7 @@
 #include "tensor/grad_mode.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
+#include "tests/oracles/route_decoder.h"
 
 namespace m2g::core {
 namespace {
@@ -74,10 +75,10 @@ TEST(DecodeParityTest, StepScoresMatchStepLogitsBitwise) {
     nn::LstmState state;
     state.h = Tensor::Constant(Matrix::Random(1, kLstmHidden, -1, 1, &f.rng));
     state.c = Tensor::Constant(Matrix(1, kLstmHidden));
-    const Tensor reference = f.decoder->StepLogits(f.nodes, f.courier, state);
-    AttentionRouteDecoder::KeyCache cache =
-        f.decoder->BuildKeyCache(f.nodes, f.courier);
-    const Matrix fast = f.decoder->StepScores(cache, state.h.value());
+    const RouteDecoderOracle oracle(*f.decoder);
+    const Tensor reference = oracle.StepLogits(f.nodes, f.courier, state);
+    const Matrix fast =
+        oracle.StepScores(f.nodes, f.courier, state.h.value());
     ExpectBitEqual(fast, reference.value(),
                    pooled ? "pooled scores" : "plain scores");
   }
@@ -88,12 +89,13 @@ TEST(DecodeParityTest, GreedyRouteIdenticalToLegacy) {
     PoolMode mode(pooled);
     for (int n : {1, 5, 17, 30, 50, 100}) {
       Fixture f(n, 100 + n);
+      const RouteDecoderOracle oracle(*f.decoder);
       const std::vector<int> fast = f.decoder->DecodeGreedy(f.nodes, f.courier);
       const std::vector<int> in_grad_mode =
-          f.decoder->DecodeGreedyLegacy(f.nodes, f.courier);
+          oracle.DecodeGreedyLegacy(f.nodes, f.courier);
       NoGradGuard no_grad;
       const std::vector<int> in_no_grad =
-          f.decoder->DecodeGreedyLegacy(f.nodes, f.courier);
+          oracle.DecodeGreedyLegacy(f.nodes, f.courier);
       EXPECT_EQ(fast, in_grad_mode) << "n=" << n << " pooled=" << pooled;
       EXPECT_EQ(fast, in_no_grad) << "n=" << n << " pooled=" << pooled;
     }
@@ -108,8 +110,8 @@ TEST(DecodeParityTest, BeamRouteIdenticalToLegacy) {
         Fixture f(n, 200 + n);
         const std::vector<int> fast =
             f.decoder->DecodeBeam(f.nodes, f.courier, width);
-        const std::vector<int> legacy =
-            f.decoder->DecodeBeamLegacy(f.nodes, f.courier, width);
+        const std::vector<int> legacy = RouteDecoderOracle(*f.decoder)
+            .DecodeBeamLegacy(f.nodes, f.courier, width);
         EXPECT_EQ(fast, legacy)
             << "n=" << n << " width=" << width << " pooled=" << pooled;
       }
@@ -135,10 +137,11 @@ TEST(DecodeParityTest, AllZeroScoresBreakTiesByHypothesisThenNode) {
   }
   std::vector<int> identity(9);
   for (int i = 0; i < 9; ++i) identity[i] = i;
+  const RouteDecoderOracle oracle(*f.decoder);
   for (int width : {1, 3, 10}) {
     EXPECT_EQ(f.decoder->DecodeBeam(f.nodes, f.courier, width), identity)
         << "fast width=" << width;
-    EXPECT_EQ(f.decoder->DecodeBeamLegacy(f.nodes, f.courier, width),
+    EXPECT_EQ(oracle.DecodeBeamLegacy(f.nodes, f.courier, width),
               identity)
         << "legacy width=" << width;
   }
@@ -158,13 +161,14 @@ TEST(DecodeParityTest, TeacherForcedLossAndGradsMatchLegacyBitwise) {
     std::vector<int> route(n);
     for (int i = 0; i < n; ++i) route[i] = (i * 7 + 3) % n;
 
+    const RouteDecoderOracle oracle(decoder);
     const auto run = [&](bool hoisted) {
       for (const Tensor& p : decoder.Parameters()) p.ZeroGrad();
       nodes.ZeroGrad();
       Tensor loss = hoisted
                         ? decoder.TeacherForcedLoss(nodes, courier, route)
-                        : decoder.TeacherForcedLossLegacy(nodes, courier,
-                                                          route);
+                        : oracle.TeacherForcedLossLegacy(nodes, courier,
+                                                         route);
       loss.Backward();
       std::vector<Matrix> grads;
       for (const Tensor& p : decoder.Parameters()) grads.push_back(p.grad());

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "geo/latlng.h"
+#include "tests/oracles/distance.h"
 
 namespace m2g::geo {
 namespace {

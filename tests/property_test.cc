@@ -12,6 +12,7 @@
 #include "graph/features.h"
 #include "metrics/report.h"
 #include "tensor/ops.h"
+#include "tests/oracles/distance.h"
 
 namespace m2g {
 namespace {

@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "core/trainer.h"
 #include "tensor/matrix.h"
+#include "tensor/ops.h"
 #include "tensor/simd.h"
 
 namespace m2g {
@@ -390,7 +391,6 @@ TEST_F(SimdParityTest, TransposedMatMulsMatchUnfusedReferenceAcrossTiers) {
   Matrix a = Matrix::Random(17, 9, -1.0f, 1.0f, &rng);
   a.At(3, 0) = 0.0f;
   const Matrix b = Matrix::Random(17, 12, -1.0f, 1.0f, &rng);
-  const Matrix c = Matrix::Random(12, 9, -1.0f, 1.0f, &rng);
   for (simd::Tier tier : SupportedTiers()) {
     simd::SetTier(tier);
     const Matrix atb = MatMulATB(a, b);
@@ -400,13 +400,51 @@ TEST_F(SimdParityTest, TransposedMatMulsMatchUnfusedReferenceAcrossTiers) {
                           atb.size() * sizeof(float)),
               0)
         << "MatMulATB tier " << simd::TierName(tier);
-    const Matrix abt = MatMulABT(a, c);
-    const Matrix abt_ref = MatMulRaw(a, TransposeRaw(c));
-    ASSERT_TRUE(abt.SameShape(abt_ref));
-    EXPECT_EQ(std::memcmp(abt.data(), abt_ref.data(),
-                          abt.size() * sizeof(float)),
+  }
+}
+
+// MatMul's backward forms g * w^T as MatMulRaw(g, TransposeRaw(w)), with
+// w^T from the per-Backward transpose cache (internal::TransposedValue)
+// when w is a parameter leaf. This pins what any reuse of that cache
+// must keep: a leaf used by two MatMul nodes of one graph (the second
+// use reads the cache) gives each input exactly that product, and a
+// Backward after the leaf's value changes, as an optimizer step changes
+// it, transposes the new value.
+TEST_F(SimdParityTest, MatMulBackwardTransposesTheCurrentWeight) {
+  Rng rng(7012);
+  const int n = 5, k = 17, m = 12;
+  Tensor w = Tensor::Parameter(Matrix::Random(k, m, -1.0f, 1.0f, &rng));
+  Tensor x1 = Tensor::Parameter(Matrix::Random(n, k, -1.0f, 1.0f, &rng));
+  Tensor x2 = Tensor::Parameter(Matrix::Random(n + 2, k, -1.0f, 1.0f, &rng));
+  // Sum(Mul(y, g)) hands each product exactly g as its upstream grad; a
+  // zero in g1 exercises the row kernel's sparse path.
+  Matrix g1 = Matrix::Random(n, m, -1.0f, 1.0f, &rng);
+  g1.At(1, 0) = 0.0f;
+  const Matrix g2 = Matrix::Random(n + 2, m, -1.0f, 1.0f, &rng);
+  const auto expect_grad = [](const Tensor& x, const Matrix& want,
+                              const char* what) {
+    ASSERT_TRUE(x.grad().SameShape(want)) << what;
+    EXPECT_EQ(std::memcmp(x.grad().data(), want.data(),
+                          want.size() * sizeof(float)),
               0)
-        << "MatMulABT tier " << simd::TierName(tier);
+        << what;
+  };
+  for (simd::Tier tier : SupportedTiers()) {
+    simd::SetTier(tier);
+    for (int pass = 0; pass < 2; ++pass) {
+      SCOPED_TRACE(::testing::Message()
+                   << "tier " << simd::TierName(tier) << " pass " << pass);
+      if (pass == 1) {
+        w.mutable_value().AddInPlace(Matrix::Random(k, m, -1, 1, &rng));
+      }
+      for (const Tensor* t : {&w, &x1, &x2}) t->ZeroGrad();
+      Add(Sum(Mul(MatMul(x1, w), Tensor::Constant(g1))),
+          Sum(Mul(MatMul(x2, w), Tensor::Constant(g2))))
+          .Backward();
+      const Matrix wt = TransposeRaw(w.value());
+      expect_grad(x1, MatMulRaw(g1, wt), "first use");
+      expect_grad(x2, MatMulRaw(g2, wt), "second use");
+    }
   }
 }
 

@@ -4,14 +4,20 @@
 Every strong (`T`) `m2g::` text symbol in the `libm2g_*.a` archives must
 survive into at least one linked binary that is not a test (a paper
 bench, an example or perfbench; test binaries are the ones named
-`*_test`). A function that only test binaries
-keep must be listed in the allowlist, under a `#` line that says why it
-stays. The check fails when:
+`*_test`). A function that only test binaries keep must be listed in
+the allowlist, under a `#` line that says why it stays. Three kinds of
+function belong there: a test hook, a helper that tests assert with, and
+a boundary API that a planned change exports. A reference oracle that a
+fast path is checked against does not: it lives in the test-only
+library under tests/oracles/, which is not a `libm2g_*` archive. The
+check fails when:
 
   - a library function is in no binary at all;
   - a function is kept only by tests and is not on the allowlist;
   - an allowlist entry names no library function, or names one that a
-    program now reaches (so the list cannot go stale).
+    program now reaches (so the list cannot go stale);
+  - a file under src/ includes a file under tests/ (the layering is
+    one-way: tests build on the library, never the reverse).
 
 Build the tree and perfbench without optimisation (at -O2 the
 out-of-line copy of a function that is inlined everywhere is dropped,
@@ -42,11 +48,45 @@ file-local functions.
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_ALLOWLIST = os.path.join(ROOT, "tools", "reachability_allowlist.txt")
+
+
+INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
+
+
+def includes_of_tests():
+    """Returns one error per #include in src/ that resolves to a file
+    under tests/, searched the way the build does: the including file's
+    directory, then src/, then the repository root."""
+    src = os.path.join(ROOT, "src")
+    tests = os.path.realpath(os.path.join(ROOT, "tests"))
+    errors = []
+    for dirpath, dirnames, filenames in os.walk(src):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            with open(path, errors="replace") as f:
+                for lineno, line in enumerate(f, 1):
+                    m = INCLUDE.match(line)
+                    if not m:
+                        continue
+                    for base in (dirpath, src, ROOT):
+                        target = os.path.realpath(
+                            os.path.join(base, m.group(1)))
+                        if os.path.isfile(target):
+                            break
+                    else:
+                        continue
+                    if os.path.commonpath([target, tests]) == tests:
+                        errors.append("%s:%d: src/ includes tests/: %s" % (
+                            os.path.relpath(path, ROOT), lineno,
+                            m.group(1)))
+    return errors
 
 
 def walk_build(build_dir):
@@ -164,6 +204,7 @@ def main():
     for name in test_only:
         print("  " + name + ("" if name in allowed else "   <- not allowed"))
 
+    errors += includes_of_tests()
     errors += ["reached by no binary: " + n for n in unreached]
     errors += ["reached only by tests and not on the allowlist: " + n
                for n in test_only if n not in allowed]
